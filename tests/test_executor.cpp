@@ -2,8 +2,12 @@
 // cache must be observationally invisible — bit-identical Reports, values
 // and traces versus freshly spawned threads and full discrete-event
 // replays, for every operator family.
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +15,7 @@
 
 #include "core/ascan.hpp"
 #include "kernels/copy_kernel.hpp"
+#include "kernels/scan_strategies.hpp"
 #include "kernels/scan_u.hpp"
 #include "kernels/scan_ul1.hpp"
 #include "kernels/vec_cumsum.hpp"
@@ -220,6 +225,135 @@ TEST(Executor, PoolGrowsToLargestLaunchAndKeepsWorkers) {
   EXPECT_EQ(large, dev.config().num_vec_cores());
   kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 1);
   EXPECT_EQ(dev.engine().pool_workers(), large) << "pool must never shrink";
+}
+
+// ---------------------------------------------------------------------------
+// Golden Reports: the simulated figures of every operator family, pinned bit
+// for bit. Any change to how sub-core bodies execute on the host (ordering,
+// threading, trace canonicalisation) must leave these exactly as they are.
+
+struct GoldenReport {
+  const char* name;
+  std::uint64_t time_bits;  ///< bit pattern of Report::time_s
+  std::uint64_t num_ops;
+  int launches;
+  std::uint64_t l2_hit_bytes;
+};
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+std::vector<std::int8_t> bernoulli_mask(std::size_t n, double p,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int8_t> m(n);
+  for (auto& v : m) v = rng.bernoulli(p) ? 1 : 0;
+  return m;
+}
+
+/// Runs one operator family on a fresh default Session (or Device).
+sim::Report run_family(const std::string& name) {
+  Session s;
+  const auto x = testing::exact_scan_workload(1 << 16, 11);
+  const auto small = testing::exact_scan_workload(8192, 12);
+  if (name == "mcscan") return s.cumsum(x).report;
+  if (name == "mcscan_exclusive") {
+    return s.cumsum(x, {.exclusive = true}).report;
+  }
+  if (name == "mcscan_i8") {
+    return s.cumsum_i8(bernoulli_mask(1 << 16, 0.3, 13)).report;
+  }
+  if (name == "scan_u") {
+    return s.cumsum_f16(small, {.algo = ScanAlgo::ScanU}).report;
+  }
+  if (name == "scan_ul1") {
+    return s.cumsum_f16(small, {.algo = ScanAlgo::ScanUL1}).report;
+  }
+  if (name == "vec_cumsum") {
+    return s.cumsum_f16(small, {.algo = ScanAlgo::VectorBaseline}).report;
+  }
+  if (name == "stream_scan" || name == "lookback_scan") {
+    acc::Device& dev = s.device();
+    auto dx = dev.upload(x);
+    auto dy = dev.alloc<float>(x.size());
+    return name == "stream_scan"
+               ? kernels::stream_scan(dev, dx.tensor(), dy.tensor(), x.size())
+               : kernels::lookback_scan(dev, dx.tensor(), dy.tensor(),
+                                        x.size());
+  }
+  if (name == "batched_scan_u" || name == "batched_scan_ul1") {
+    const auto rows = testing::exact_scan_workload(16 * 2048, 14);
+    return s.cumsum_batched(rows, 16, 2048, 128, name == "batched_scan_ul1")
+        .report;
+  }
+  if (name == "compress") {
+    return s.masked_select(x, bernoulli_mask(x.size(), 0.5, 15)).report;
+  }
+  if (name == "split") {
+    return s.split(small, bernoulli_mask(small.size(), 0.5, 16)).report;
+  }
+  if (name == "radix_sort") return s.sort(distinct_keys(4096)).report;
+  if (name == "top_p_batch") {
+    const std::size_t batch = 4, vocab = 512;
+    std::vector<half> probs(batch * vocab);
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t i = 0; i < vocab; ++i) {
+        const std::size_t p = (i * 2654435761u + b) % vocab;
+        probs[b * vocab + i] = half(static_cast<float>(p + 1) / 512.0f);
+      }
+    }
+    return s.top_p_sample_batch(probs, batch, vocab, 0.9,
+                                {0.1, 0.4, 0.7, 0.95})
+        .report;
+  }
+  if (name == "segmented_scan") {
+    return s.segmented_cumsum(x, bernoulli_mask(x.size(), 0.001, 17)).report;
+  }
+  if (name == "reduce_cube") return s.reduce(x, true).report;
+  if (name == "reduce_vector") return s.reduce(x, false).report;
+  ADD_FAILURE() << "unknown family " << name;
+  return {};
+}
+
+TEST(Executor, GoldenReportsPinnedBitForBit) {
+  // Regenerate a row by copying the line printed on mismatch.
+  const GoldenReport golden[] = {
+      {"mcscan", 0x3ee3cda68c3aeb21ull, 1386u, 1, 1284508u},
+      {"mcscan_exclusive", 0x3ee3cda50e748d33ull, 1388u, 1, 1025903u},
+      {"mcscan_i8", 0x3ee2b7acb4b1e183ull, 1386u, 1, 907676u},
+      {"scan_u", 0x3ee36c056b771bf4ull, 139u, 1, 32768u},
+      {"scan_ul1", 0x3ee143a40207e9a2ull, 21u, 1, 32768u},
+      {"vec_cumsum", 0x3ef022169923cffcull, 5u, 1, 0u},
+      {"stream_scan", 0x3ef5b70f69f83b27ull, 101u, 1, 56u},
+      {"lookback_scan", 0x3ef16f821ecab6d3ull, 129u, 1, 140u},
+      {"batched_scan_u", 0x3ee324afc0f0a699ull, 696u, 1, 753664u},
+      {"batched_scan_ul1", 0x3ee46c2013a59cb8ull, 348u, 1, 1998848u},
+      {"compress", 0x3ef685744ddda920ull, 1416u, 2, 716100u},
+      {"split", 0x3ef67fe9332fd342ull, 457u, 2, 368010u},
+      {"radix_sort", 0x3f38b8275291ef86ull, 6398u, 50, 7244352u},
+      {"top_p_batch", 0x3f5977f70d8194f7ull, 23308u, 212, 25021872u},
+      {"segmented_scan", 0x3effd31b54cd971eull, 540u, 1, 198648u},
+      {"reduce_cube", 0x3ef0117865226351ull, 83u, 1, 360476u},
+      {"reduce_vector", 0x3ee8dfac556ab594ull, 48u, 1, 28u},
+  };
+  for (const GoldenReport& g : golden) {
+    const sim::Report r = run_family(g.name);
+    const bool same = bits_of(r.time_s) == g.time_bits &&
+                      r.num_ops == g.num_ops && r.launches == g.launches &&
+                      r.l2_hit_bytes == g.l2_hit_bytes;
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "{\"%s\", 0x%016" PRIx64 "ull, %" PRIu64 "u, %d, %" PRIu64
+                  "u},",
+                  g.name, bits_of(r.time_s), r.num_ops, r.launches,
+                  r.l2_hit_bytes);
+    EXPECT_TRUE(same) << g.name << " Report moved (time " << r.time_s
+                      << " s); now\n      " << line;
+    EXPECT_FALSE(r.any_faults()) << g.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
