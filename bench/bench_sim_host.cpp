@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/ascan.hpp"
@@ -18,11 +19,10 @@ using namespace ascend;
 
 namespace {
 
-sim::MachineConfig cfg_mode(sim::ExecutorMode mode, bool timing_cache = false) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  cfg.timing_cache = timing_cache;
-  return cfg;
+sim::MachineConfig cfg(bool timing_cache = false) {
+  auto c = sim::MachineConfig::ascend_910b4();
+  c.timing_cache = timing_cache;
+  return c;
 }
 
 std::vector<half> bench_workload(std::size_t n) {
@@ -33,15 +33,32 @@ std::vector<half> bench_workload(std::size_t n) {
   return x;
 }
 
-/// Runs `op` once on a spawn and a pool session and returns whether the
-/// simulated time is bit-identical and the values match. Recorded as the
-/// `cross_exec_ok` counter so BENCH_sim_host.json carries the determinism
-/// evidence from the same run as the throughput numbers.
+/// Times `op`, one Session call returning {Report, payload}, after
+/// checking that two fresh sessions agree on it bit for bit. The check is
+/// recorded as the `run_twice_ok` counter so BENCH_sim_host.json carries
+/// the determinism evidence from the same run as the throughput numbers.
+/// `launches_per_s` counts simulated kernel launches retired per host
+/// wall-clock second; `items_per_second` is simulated elements per second.
 template <typename Op>
-bool cross_executor_identical(Op&& op) {
-  ascan::Session spawn(cfg_mode(sim::ExecutorMode::Spawn));
-  ascan::Session pool(cfg_mode(sim::ExecutorMode::Pool));
-  return op(spawn, pool);
+void session_bench(benchmark::State& state, std::size_t items, Op&& op) {
+  ascan::Session a(cfg()), b(cfg());
+  const auto ra = op(a), rb = op(b);
+  if (!sim::identical(ra.first, rb.first) || ra.second != rb.second) {
+    state.SkipWithError("two fresh sessions diverged");
+    return;
+  }
+  ascan::Session s(cfg());
+  std::int64_t launches = 0;
+  for (auto _ : state) {
+    const auto r = op(s);
+    launches += r.first.launches;
+    benchmark::DoNotOptimize(r.second);
+  }
+  state.counters["launches_per_s"] = benchmark::Counter(
+      static_cast<double>(launches), benchmark::Counter::kIsRate);
+  state.counters["run_twice_ok"] = 1.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items));
 }
 
 }  // namespace
@@ -101,80 +118,34 @@ static void BM_SimulateMcScan(benchmark::State& state) {
 BENCHMARK(BM_SimulateMcScan)->Arg(1 << 18)->Arg(1 << 20);
 
 // ---------------------------------------------------------------------------
-// End-to-end host throughput of the Session API, spawn vs pool executor.
-// `launches_per_s` is the headline metric for the persistent-pool engine:
-// it counts simulated kernel launches retired per host wall-clock second.
-// `items_per_second` (built in) is simulated elements per host second.
+// End-to-end host throughput of the Session API (see session_bench).
 
-static void BM_SessionCumsum(benchmark::State& state, sim::ExecutorMode mode) {
+static void BM_SessionCumsum(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto x = bench_workload(n);
-  const bool ok = cross_executor_identical([&](ascan::Session& a,
-                                               ascan::Session& b) {
-    const auto ra = a.cumsum(x);
-    const auto rb = b.cumsum(x);
-    return ra.report.time_s == rb.report.time_s && ra.values == rb.values;
+  session_bench(state, n, [&](ascan::Session& s) {
+    auto r = s.cumsum(x);
+    return std::pair{r.report, std::move(r.values)};
   });
-  if (!ok) {
-    state.SkipWithError("spawn/pool cumsum diverged");
-    return;
-  }
-  ascan::Session s(cfg_mode(mode));
-  std::int64_t launches = 0;
-  for (auto _ : state) {
-    const auto r = s.cumsum(x);
-    launches += r.report.launches;
-    benchmark::DoNotOptimize(r.values.data());
-  }
-  state.counters["launches_per_s"] = benchmark::Counter(
-      static_cast<double>(launches), benchmark::Counter::kIsRate);
-  state.counters["cross_exec_ok"] = 1.0;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_SessionCumsum, spawn, sim::ExecutorMode::Spawn)
-    ->Arg(1 << 12)->Arg(1 << 16)->UseRealTime();
-BENCHMARK_CAPTURE(BM_SessionCumsum, pool, sim::ExecutorMode::Pool)
-    ->Arg(1 << 12)->Arg(1 << 16)->UseRealTime();
+BENCHMARK(BM_SessionCumsum)->Arg(1 << 12)->Arg(1 << 16)->UseRealTime();
 
-static void BM_SessionSort(benchmark::State& state, sim::ExecutorMode mode) {
+static void BM_SessionSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<half> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t p = (i * 2654435761u) % n;
     keys[i] = half(static_cast<float>(p) - static_cast<float>(n / 2));
   }
-  const bool ok = cross_executor_identical([&](ascan::Session& a,
-                                               ascan::Session& b) {
-    const auto ra = a.sort(keys);
-    const auto rb = b.sort(keys);
-    return ra.report.time_s == rb.report.time_s && ra.values == rb.values &&
-           ra.indices == rb.indices;
+  session_bench(state, n, [&](ascan::Session& s) {
+    auto r = s.sort(keys);
+    return std::pair{r.report, std::pair{std::move(r.values),
+                                         std::move(r.indices)}};
   });
-  if (!ok) {
-    state.SkipWithError("spawn/pool sort diverged");
-    return;
-  }
-  ascan::Session s(cfg_mode(mode));
-  std::int64_t launches = 0;
-  for (auto _ : state) {
-    const auto r = s.sort(keys);
-    launches += r.report.launches;
-    benchmark::DoNotOptimize(r.values.data());
-  }
-  state.counters["launches_per_s"] = benchmark::Counter(
-      static_cast<double>(launches), benchmark::Counter::kIsRate);
-  state.counters["cross_exec_ok"] = 1.0;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_SessionSort, spawn, sim::ExecutorMode::Spawn)
-    ->Arg(1 << 11)->UseRealTime();
-BENCHMARK_CAPTURE(BM_SessionSort, pool, sim::ExecutorMode::Pool)
-    ->Arg(1 << 11)->UseRealTime();
+BENCHMARK(BM_SessionSort)->Arg(1 << 11)->UseRealTime();
 
-static void BM_SessionTopPSampleBatch(benchmark::State& state,
-                                      sim::ExecutorMode mode) {
+static void BM_SessionTopPSampleBatch(benchmark::State& state) {
   const std::size_t batch = 4;
   const std::size_t vocab = static_cast<std::size_t>(state.range(0));
   std::vector<half> probs(batch * vocab);
@@ -186,42 +157,20 @@ static void BM_SessionTopPSampleBatch(benchmark::State& state,
     }
   }
   const std::vector<double> u = {0.1, 0.4, 0.7, 0.95};
-  const bool ok = cross_executor_identical([&](ascan::Session& a,
-                                               ascan::Session& b) {
-    const auto ra = a.top_p_sample_batch(probs, batch, vocab, 0.9, u);
-    const auto rb = b.top_p_sample_batch(probs, batch, vocab, 0.9, u);
-    return ra.report.time_s == rb.report.time_s && ra.tokens == rb.tokens;
+  session_bench(state, batch * vocab, [&](ascan::Session& s) {
+    auto r = s.top_p_sample_batch(probs, batch, vocab, 0.9, u);
+    return std::pair{r.report, std::move(r.tokens)};
   });
-  if (!ok) {
-    state.SkipWithError("spawn/pool top_p diverged");
-    return;
-  }
-  ascan::Session s(cfg_mode(mode));
-  std::int64_t launches = 0;
-  for (auto _ : state) {
-    const auto r = s.top_p_sample_batch(probs, batch, vocab, 0.9, u);
-    launches += r.report.launches;
-    benchmark::DoNotOptimize(r.tokens.data());
-  }
-  state.counters["launches_per_s"] = benchmark::Counter(
-      static_cast<double>(launches), benchmark::Counter::kIsRate);
-  state.counters["cross_exec_ok"] = 1.0;
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch * vocab));
 }
-BENCHMARK_CAPTURE(BM_SessionTopPSampleBatch, spawn, sim::ExecutorMode::Spawn)
-    ->Arg(512)->UseRealTime();
-BENCHMARK_CAPTURE(BM_SessionTopPSampleBatch, pool, sim::ExecutorMode::Pool)
-    ->Arg(512)->UseRealTime();
+BENCHMARK(BM_SessionTopPSampleBatch)->Arg(512)->UseRealTime();
 
 // The purest repeated-launch workload: one full-width kernel relaunched on
-// device-resident buffers. This isolates per-launch host overhead (thread
-// management + context setup + replay), which is exactly what the pool and
-// the timing cache attack.
-static void BM_RepeatedLaunch(benchmark::State& state, sim::ExecutorMode mode,
-                              bool timing_cache) {
+// device-resident buffers. This isolates per-launch host overhead (60
+// sub-core fibers + context setup + replay), and with the timing cache on,
+// what is left once the replay is skipped.
+static void BM_RepeatedLaunch(benchmark::State& state, bool timing_cache) {
   const std::size_t n = 8192;
-  acc::Device dev(cfg_mode(mode, timing_cache));
+  acc::Device dev(cfg(timing_cache));
   auto x = dev.alloc<half>(n, half(2.0f));
   auto y = dev.alloc<half>(n);
   std::int64_t launches = 0;
@@ -235,12 +184,7 @@ static void BM_RepeatedLaunch(benchmark::State& state, sim::ExecutorMode mode,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, spawn, sim::ExecutorMode::Spawn, false)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, pool, sim::ExecutorMode::Pool, false)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, pool_cached, sim::ExecutorMode::Pool,
-                  true)
-    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, replayed, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, cached, true)->UseRealTime();
 
 BENCHMARK_MAIN();

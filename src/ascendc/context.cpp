@@ -3,29 +3,6 @@
 namespace ascend::acc {
 
 // ---------------------------------------------------------------------------
-// SimpleBarrier
-
-void SimpleBarrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
-  const std::uint64_t gen = generation_;
-  if (++waiting_ == threshold_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return;
-  }
-  cv_.wait(lk, [&] { return generation_ != gen || poisoned_; });
-  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
-}
-
-void SimpleBarrier::poison() {
-  std::lock_guard<std::mutex> lk(mu_);
-  poisoned_ = true;
-  cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
 // CrossFlags
 
 void CrossFlags::set(KernelContext& ctx, std::size_t i) {
@@ -39,62 +16,55 @@ void CrossFlags::set(KernelContext& ctx, std::size_t i) {
   op.cycles = ctx.cfg().flag_cost_cycles +
               ctx.cfg().gm_latency_s * ctx.cfg().clock_hz;
   op.tag = "flag.set";
-  const std::uint32_t id = ctx.trace().push(op);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    setter_[i].store(id, std::memory_order_release);
-  }
-  cv_.notify_all();
+  setter_[i] = ctx.trace().push(op);
 }
 
 void CrossFlags::wait(KernelContext& ctx, std::size_t i) {
   ASCAN_ASSERT(i < setter_.size(), "flag index out of range");
-  std::uint32_t setter_id = setter_[i].load(std::memory_order_acquire);
-  if (setter_id == 0) {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] {
-      setter_id = setter_[i].load(std::memory_order_acquire);
-      return setter_id != 0 || poisoned_;
-    });
-    if (poisoned_ && setter_id == 0) {
-      throw Error("flag wait poisoned: a sibling sub-core failed");
-    }
+  ctx.shared().park({&setter_[i], 0, name_.c_str(), i});
+  if (setter_[i] == 0) {
+    throw Error("flag wait poisoned: a sibling sub-core failed");
   }
   sim::TraceOp op;
   op.engine = sim::EngineKind::Scalar;
   op.kind = sim::TraceOp::Kind::FlagWait;
   op.cycles = ctx.cfg().flag_cost_cycles;
   op.tag = "flag.wait";
-  op.add_dep(setter_id);
+  op.add_dep(setter_[i]);
   const std::uint32_t id = ctx.trace().push(op);
   // Everything after the wait is ordered behind it.
   ctx.serialise_after(id);
-}
-
-void CrossFlags::poison() {
-  std::lock_guard<std::mutex> lk(mu_);
-  poisoned_ = true;
-  cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
 // LaunchShared
 
 CrossFlags& LaunchShared::flags(const std::string& name, std::size_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = flags_.find(name);
   if (it == flags_.end()) {
-    it = flags_.emplace(name, std::make_unique<CrossFlags>(n)).first;
+    it = flags_.emplace(name, std::make_unique<CrossFlags>(name, n)).first;
   }
   ASCAN_ASSERT(it->second->size() == n,
                "flag array '" << name << "' size mismatch");
   return *it->second;
 }
 
-void LaunchShared::poison() {
-  barrier_.poison();
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, f] : flags_) f->poison();
+void LaunchShared::arrive_and_wait(std::uint32_t epoch) {
+  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
+  const std::uint32_t gen = generation_;
+  if (++arrived_ == num_subcores_) {
+    arrived_ = 0;
+    ++generation_;
+    return;
+  }
+  park({&generation_, gen, nullptr, epoch});
+  if (poisoned_) throw Error("barrier poisoned: a sibling sub-core failed");
+}
+
+void LaunchShared::park(const FiberWait& w) {
+  if (*w.word != w.unchanged || poisoned_) return;
+  ASCAN_ASSERT(fibers_ != nullptr, "wait outside a running launch");
+  fibers_->park(w);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,7 +110,7 @@ void KernelContext::SyncAll() {
   op.tag = "sync_all";
   const std::uint32_t id = trace_.push(op);
   serialise_after(id);
-  shared_->barrier().arrive_and_wait();
+  shared_->arrive_and_wait(sync_count_);
 }
 
 KernelContext::Arena& KernelContext::arena_for(TPosition pos) {

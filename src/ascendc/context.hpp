@@ -1,21 +1,21 @@
 // Per-sub-core kernel execution context plus the shared launch state
-// (barriers, cross-core flags) used by the functional pass.
+// (SyncAll barrier, cross-core flags) used by the functional pass.
 //
-// A kernel launch runs the kernel body once per logical sub-core, each on
-// its own host thread. In MIX mode a block is one AI core: sub-core 0 is the
-// AIC (cube) core and sub-cores 1..vec_per_core are the AIV (vector) cores.
-// In vector-only mode each block is a single AIV core.
+// A kernel launch runs the kernel body once per logical sub-core, each as a
+// fiber on the launching thread (see fiber.hpp). In MIX mode a block is one
+// AI core: sub-core 0 is the AIC (cube) core and sub-cores 1..vec_per_core
+// are the AIV (vector) cores. In vector-only mode each block is a single
+// AIV core.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ascendc/fiber.hpp"
 #include "ascendc/tensor.hpp"
 #include "sim/config.hpp"
 #include "sim/trace.hpp"
@@ -24,67 +24,60 @@ namespace ascend::acc {
 
 class KernelContext;
 
-/// Barrier with poison propagation: if any participant fails, every waiter
-/// (current and future) throws instead of deadlocking.
-class SimpleBarrier {
- public:
-  explicit SimpleBarrier(int count) : threshold_(count) {}
-
-  void arrive_and_wait();
-  void poison();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int threshold_;
-  int waiting_ = 0;
-  std::uint64_t generation_ = 0;
-  bool poisoned_ = false;
-};
-
 /// A shared array of cross-core synchronisation flags. set(i) publishes the
-/// id of the trace op that performed the set; wait(i) blocks the functional
-/// thread until then and records a dependency edge on that op.
+/// id of the trace op that performed the set; wait(i) parks the waiting
+/// sub-core until then and records a dependency edge on that op.
 class CrossFlags {
  public:
-  explicit CrossFlags(std::size_t n) : setter_(n) {
-    for (auto& s : setter_) s.store(0, std::memory_order_relaxed);
-  }
+  CrossFlags(std::string name, std::size_t n)
+      : name_(std::move(name)), setter_(n, 0) {}
 
   void set(KernelContext& ctx, std::size_t i);
   void wait(KernelContext& ctx, std::size_t i);
 
   std::size_t size() const { return setter_.size(); }
-  void poison();
 
  private:
-  std::vector<std::atomic<std::uint32_t>> setter_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool poisoned_ = false;
+  std::string name_;
+  std::vector<std::uint32_t> setter_;  ///< 0 until set
 };
 
-/// State shared by all sub-cores of one launch.
+/// State shared by all sub-cores of one launch. The sub-cores run as fibers
+/// on one thread and switch only inside park(), so none of it needs a lock.
+///
+/// Poisoning: once any sub-core fails (or the launch deadlocks), every
+/// current and future wait throws instead of blocking forever.
 class LaunchShared {
  public:
-  LaunchShared(int num_subcores)
-      : num_subcores_(num_subcores), barrier_(num_subcores), op_ids_(1) {}
+  explicit LaunchShared(int num_subcores) : num_subcores_(num_subcores) {}
 
-  SimpleBarrier& barrier() { return barrier_; }
-  std::atomic<std::uint32_t>& op_ids() { return op_ids_; }
+  std::uint32_t& op_ids() { return op_ids_; }
 
   /// Named flag arrays, created on first use (all sub-cores must agree on
   /// the size).
   CrossFlags& flags(const std::string& name, std::size_t n);
 
-  void poison();
+  /// SyncAll barrier: counts the arrival; the arrival that completes the
+  /// generation bumps it and continues, the others park until it moves.
+  /// `epoch` only names the barrier in a deadlock report.
+  void arrive_and_wait(std::uint32_t epoch);
+
+  /// Parks the calling sub-core until `w` is satisfied or the launch is
+  /// poisoned; returns at once if either already holds.
+  void park(const FiberWait& w);
+
+  void poison() { poisoned_ = true; }
+  bool poisoned() const { return poisoned_; }
   int num_subcores() const { return num_subcores_; }
 
  private:
+  friend class SubcoreFibers;  ///< binds itself for the launch's duration
+  SubcoreFibers* fibers_ = nullptr;
   int num_subcores_;
-  SimpleBarrier barrier_;
-  std::atomic<std::uint32_t> op_ids_;
-  std::mutex mu_;
+  int arrived_ = 0;
+  std::uint32_t generation_ = 0;
+  std::uint32_t op_ids_ = 1;
+  bool poisoned_ = false;
   std::map<std::string, std::unique_ptr<CrossFlags>> flags_;
 };
 

@@ -108,8 +108,8 @@ class Device {
   const sim::MachineConfig& config() const { return cfg_; }
   sim::L2Cache& l2() { return l2_; }
 
-  /// Host execution engine of this device: persistent sub-core workers,
-  /// pooled kernel contexts, scheduler scratch and the timing cache.
+  /// Host execution engine of this device: pooled sub-core fibers and
+  /// kernel contexts, scheduler scratch and the timing cache.
   /// Created lazily on the first launch (defined in engine.cpp).
   LaunchEngine& engine();
 

@@ -1,7 +1,6 @@
 #include "ascendc/engine.hpp"
 
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "ascendc/device.hpp"
@@ -9,9 +8,7 @@
 namespace ascend::acc {
 
 LaunchEngine::LaunchEngine(const sim::MachineConfig& cfg)
-    : cfg_(cfg),
-      mode_(sim::resolve_executor_mode(cfg.executor)),
-      cache_enabled_(sim::resolve_timing_cache(cfg.timing_cache)) {}
+    : cfg_(cfg), cache_enabled_(cfg.timing_cache) {}
 
 LaunchEngine::~LaunchEngine() = default;
 
@@ -63,20 +60,6 @@ void LaunchEngine::release(
 }
 
 // ---------------------------------------------------------------------------
-// Sub-core dispatch
-
-void LaunchEngine::run_subcores(int n, const std::function<void(int)>& body) {
-  if (mode_ == sim::ExecutorMode::Pool) {
-    pool_.run(n, body);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) threads.emplace_back([&body, s] { body(s); });
-  for (std::thread& t : threads) t.join();
-}
-
-// ---------------------------------------------------------------------------
 // Timing
 
 namespace {
@@ -108,7 +91,7 @@ sim::Report LaunchEngine::timed(const TimingRequest& req) {
   key.name = req.name;
   key.mode = req.mode;
   key.block_dim = req.block_dim;
-  key.fingerprint = sim::trace_fingerprint(trace_, id_scratch_);
+  key.fingerprint = sim::trace_fingerprint(trace_);
   // The effective deadline is part of the key: a cached success under a lax
   // watchdog must not satisfy a launch with a tighter one.
   const double wd = req.watchdog_s > 0 ? req.watchdog_s : cfg_.watchdog_s;
@@ -130,16 +113,14 @@ sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
     trace_.per_subcore[s] = std::move(lease[s].trace().mutable_ops());
     trace_.is_cube_subcore[s] = lease[s].is_cube();
   }
-  trace_.max_op_id = shared.op_ids().load(std::memory_order_relaxed) - 1;
+  trace_.max_op_id = shared.op_ids() - 1;
 
-  // Canonical op ids. The shared atomic hands ids out in host-thread
-  // arrival order, which genuinely races when the pooled workers all wake
-  // at once (spawn mode masks it: staggered thread creation makes arrival
-  // order repeatable in practice). The scheduler breaks simultaneous-event
-  // ties by id, so raw ids would leak host timing into simulated time.
-  // Renumbering densely by (sub-core, position) — both interleaving-
-  // independent — restores bit-reproducible replays. Two passes: deps may
-  // reference ops of other sub-cores (cross-core flag edges).
+  // Canonical op ids. The shared counter hands ids out in the order the
+  // fibers ran, which is deterministic but not (sub-core, position) order.
+  // The scheduler breaks simultaneous-event ties by id, so renumbering
+  // densely by (sub-core, position) is what keeps Reports independent of
+  // how the functional pass interleaved the sub-cores. Two passes: deps
+  // may reference ops of other sub-cores (cross-core flag edges).
   id_map_.assign(static_cast<std::size_t>(trace_.max_op_id) + 1, 0);
   std::uint32_t next_id = 1;
   for (const auto& ops : trace_.per_subcore) {

@@ -1,6 +1,7 @@
-// Host execution engine owned by acc::Device: persistent sub-core worker
-// pool, pooled KernelContexts / trace-op arenas, reusable scheduler scratch
-// and the opt-in launch-shape timing cache.
+// Host execution engine owned by acc::Device: the cooperative sub-core
+// executor (fibers and their stacks), pooled KernelContexts / trace-op
+// arenas, reusable scheduler scratch and the opt-in launch-shape timing
+// cache.
 //
 // The engine holds its own MachineConfig copy so pooled KernelContexts
 // (which keep a reference to it) stay valid even when the owning Device is
@@ -9,17 +10,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "ascendc/context.hpp"
-#include "sim/executor.hpp"
+#include "ascendc/fiber.hpp"
 #include "sim/fault.hpp"
 #include "sim/l2_cache.hpp"
 #include "sim/report.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timeline.hpp"
+#include "sim/timing_cache.hpp"
 
 namespace ascend::acc {
 
@@ -39,10 +40,7 @@ class LaunchEngine {
   LaunchEngine& operator=(const LaunchEngine&) = delete;
 
   const sim::MachineConfig& config() const { return cfg_; }
-  sim::ExecutorMode mode() const { return mode_; }
   bool timing_cache_enabled() const { return cache_enabled_; }
-  /// Workers currently alive in the pool (0 until the first pooled launch).
-  int pool_workers() const { return pool_.workers(); }
   const sim::TimingCache::Stats& cache_stats() const { return cache_.stats(); }
   /// Discrete-event replays executed (cache hits don't count).
   std::uint64_t replays() const { return replays_; }
@@ -75,10 +73,8 @@ class LaunchEngine {
   ContextLease lease_contexts(const std::vector<SubcorePlan>& plan,
                               LaunchShared* shared, int block_dim);
 
-  /// Runs body(0) .. body(n-1) concurrently and waits for all of them:
-  /// thread-per-launch in Spawn mode, persistent workers in Pool mode.
-  /// `body` must not throw (the launch wrapper catches per-sub-core).
-  void run_subcores(int n, const std::function<void(int)>& body);
+  /// Runs the sub-core bodies of a launch as fibers (see fiber.hpp).
+  SubcoreFibers& fibers() { return fibers_; }
 
   struct TimingRequest {
     const char* name = "kernel";
@@ -112,17 +108,15 @@ class LaunchEngine {
   }
 
   sim::MachineConfig cfg_;
-  sim::ExecutorMode mode_;
   bool cache_enabled_;
-  sim::SubcorePool pool_;
+  SubcoreFibers fibers_;
   sim::SchedScratch scratch_;
   sim::TimingCache cache_;
   std::uint64_t replays_ = 0;
   std::vector<std::unique_ptr<KernelContext>> cube_pool_;
   std::vector<std::unique_ptr<KernelContext>> vec_pool_;
-  sim::KernelTrace trace_;                 ///< reused across launches
-  std::vector<std::uint64_t> id_scratch_;  ///< fingerprint scratch
-  std::vector<std::uint32_t> id_map_;      ///< canonical-id renumber scratch
+  sim::KernelTrace trace_;             ///< reused across launches
+  std::vector<std::uint32_t> id_map_;  ///< canonical-id renumber scratch
 };
 
 }  // namespace ascend::acc

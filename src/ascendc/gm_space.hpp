@@ -1,9 +1,8 @@
 // Deterministic virtual GM address space.
 //
 // The L2 model indexes cache sets by GM address. Host heap addresses are
-// useless for that: they depend on ASLR and on allocator state perturbed by
-// thread timing (the persistent sub-core pool makes this visible), which
-// would make simulated times differ run to run. Every GlobalBuffer instead
+// useless for that: they depend on ASLR and on allocator state, which would
+// make simulated times differ run to run. Every GlobalBuffer instead
 // acquires a *virtual* GM address from this process-wide allocator — a bump
 // pointer with size-bucketed LIFO free lists, so the address stream depends
 // only on the (deterministic, main-thread) sequence of buffer lifetimes,

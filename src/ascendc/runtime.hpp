@@ -1,6 +1,6 @@
-// Kernel launcher: runs a kernel body once per logical sub-core (each on a
-// host thread), merges the recorded traces, and feeds them to the
-// discrete-event scheduler to obtain the simulated execution report.
+// Kernel launcher: runs a kernel body once per logical sub-core (each as a
+// fiber on the calling thread), merges the recorded traces, and feeds them
+// to the discrete-event scheduler to obtain the simulated execution report.
 //
 // Launch modes mirror how AscendC kernels occupy the 910B:
 //  * Mix:        block = one AI core (1 AIC + vec_per_core AIVs). The body
@@ -15,7 +15,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ascendc/context.hpp"
@@ -101,12 +100,12 @@ inline std::vector<SubcorePlan> plan_subcores(const sim::MachineConfig& cfg,
 /// Functional effects on GM buffers happen eagerly; the report's time is
 /// what the 910B would take.
 ///
-/// Host execution runs on the device's LaunchEngine: sub-core bodies execute
-/// on the persistent worker pool (or spawned threads under
-/// ExecutorMode::Spawn / ASCAN_EXECUTOR=spawn), kernel contexts and trace
-/// arenas are pooled in both modes, and constant-shape repeated launches may
-/// skip the discrete-event replay via the opt-in timing cache. All of it is
-/// bit-exact: Reports, traces and GM effects are identical across modes.
+/// Host execution runs on the device's LaunchEngine: sub-core bodies run as
+/// fibers on the calling thread, taking turns at SyncAll and flag waits;
+/// kernel contexts, fiber stacks and trace arenas are pooled; and
+/// constant-shape repeated launches may skip the discrete-event replay via
+/// the opt-in timing cache, which is bit-exact. A launch whose sub-cores all
+/// block throws an Error naming what each one waits on.
 template <typename F>
 sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   LaunchEngine& eng = dev.engine();
@@ -131,16 +130,14 @@ sim::Report launch(Device& dev, const LaunchSpec& spec, F&& body) {
   LaunchEngine::ContextLease ctxs =
       eng.lease_contexts(plan, &shared, spec.block_dim);
 
+  // The sub-cores take turns on this thread, so the first failure needs no
+  // lock; poisoning releases every sibling parked at a barrier or flag.
   std::exception_ptr first_error;
-  std::mutex error_mu;
-  eng.run_subcores(n, [&](int s) {
+  eng.fibers().run(shared, [&](int s) {
     try {
       body(ctxs[static_cast<std::size_t>(s)]);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
+      if (!first_error) first_error = std::current_exception();
       shared.poison();
     }
   });

@@ -21,16 +21,6 @@
 
 namespace ascend::sim {
 
-/// How kernel launches execute their sub-core bodies on the host.
-///  * Spawn — legacy path: one fresh std::thread per sub-core per launch
-///    (kept selectable for debugging and determinism A/B tests).
-///  * Pool  — persistent worker pool owned by the device; bodies dispatch
-///    to long-lived workers (the fast path).
-///  * Auto  — consult the ASCAN_EXECUTOR environment variable ("spawn" or
-///    "pool"); default Pool.
-/// Both paths produce bit-identical traces, Reports and output values.
-enum class ExecutorMode : std::uint8_t { Auto, Spawn, Pool };
-
 struct MachineConfig {
   // --- Topology ------------------------------------------------------------
   int num_ai_cores = 20;  ///< AIC count ("blocks" at full occupancy)
@@ -116,13 +106,9 @@ struct MachineConfig {
   double watchdog_scale = 8.0;
 
   // --- Host execution engine ---------------------------------------------------
-  /// Sub-core execution strategy (see ExecutorMode). Runtime-switchable via
-  /// ASCAN_EXECUTOR when left at Auto.
-  ExecutorMode executor = ExecutorMode::Auto;
   /// Opt-in launch-shape timing cache: identical repeated launches skip the
   /// discrete-event replay once their Report has provably converged. Always
   /// bypassed when a fault injector is armed or a Timeline is requested.
-  /// The ASCAN_TIMING_CACHE environment variable overrides this field.
   bool timing_cache = false;
 
   // --- Derived helpers ---------------------------------------------------------

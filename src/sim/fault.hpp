@@ -7,7 +7,7 @@
 // seed-deterministic decisions. Every decision is a pure hash of
 // (seed, launch ordinal, sub-core, per-sub-core op ordinal), so the same
 // plan produces the identical fault sequence — and the identical Report —
-// on every run, independent of host-thread interleaving.
+// on every run, independent of the order the sub-cores ran in.
 //
 // Fault taxonomy (what the scheduler does with each decision):
 //  * MteTransient — a DMA transfer fails mid-flight. The launch aborts with

@@ -93,7 +93,7 @@ std::ostream& operator<<(std::ostream& os, const Report& r);
 /// Bit-exact equality over every field (times compared with ==, which is
 /// exact for the deterministic scheduler). Used by the launch-shape timing
 /// cache to detect that a launch shape's Report has converged, and by the
-/// determinism tests comparing executors.
+/// determinism tests comparing repeated runs.
 inline bool identical(const Report& a, const Report& b) {
   return a.time_s == b.time_s && a.launches == b.launches &&
          a.steps == b.steps && a.gm_read_bytes == b.gm_read_bytes &&

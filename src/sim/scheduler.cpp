@@ -369,9 +369,9 @@ Report Scheduler::run(const KernelTrace& trace, Timeline* timeline,
     const double t_next = std::min(t_event, t_flow);
     if (t_next > watchdog || (t_next >= kInf && hangs_started > 0)) {
       // Watchdog: the launch's simulated clock would pass its deadline
-      // (hung engine, or pathological straggler slowness). Poisoned-barrier
-      // semantics already released every functional thread, so surfacing
-      // the timeout here can never deadlock siblings.
+      // (hung engine, or pathological straggler slowness). The functional
+      // pass finished before timing began, so surfacing the timeout here
+      // can never deadlock siblings.
       const double t_abort = watchdog < kInf ? std::max(now, watchdog) : now;
       abort_run(FaultKind::Hang, t_abort, first_hang_subcore,
                 hangs_started > 0 ? "watchdog: kernel hang"

@@ -16,7 +16,7 @@
 //  * Launch overhead is added before time zero's first op.
 //
 // Determinism: ties are broken by op id, the L2 is queried in event order,
-// and the trace itself is independent of host-thread interleaving.
+// and the trace itself is independent of the order the sub-cores ran in.
 #pragma once
 
 #include <memory>

@@ -7,11 +7,10 @@
 // *which earlier ops it must wait for* (queue Enque/Deque edges, buffer
 // hazards, scalar read-backs, cross-core flags). The scheduler then derives
 // the kernel's simulated execution time from the trace alone, so simulated
-// time is deterministic regardless of host-thread interleaving.
+// time is deterministic regardless of the order the sub-cores ran in.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,17 +74,17 @@ struct TraceOp {
   }
 };
 
-/// Per-sub-core trace under construction. Each sub-core's functional thread
-/// owns exactly one TraceBuilder; only the id counter is shared.
+/// Per-sub-core trace under construction. Each sub-core owns exactly one
+/// TraceBuilder; only the id counter is shared.
 class TraceBuilder {
  public:
-  TraceBuilder(std::uint32_t subcore, std::atomic<std::uint32_t>* id_counter)
+  TraceBuilder(std::uint32_t subcore, std::uint32_t* id_counter)
       : subcore_(subcore), id_counter_(id_counter) {}
 
   /// Rebinds a pooled builder to a new launch, clearing the op list but
   /// keeping its capacity (the per-launch allocation this avoids is the
   /// point of pooling kernel contexts).
-  void reset(std::uint32_t subcore, std::atomic<std::uint32_t>* id_counter) {
+  void reset(std::uint32_t subcore, std::uint32_t* id_counter) {
     subcore_ = subcore;
     id_counter_ = id_counter;
     serial_anchor_ = 0;
@@ -97,7 +96,7 @@ class TraceBuilder {
   /// automatically; pass extra explicit deps via TraceOp::add_dep before or
   /// after. Returns the op id.
   std::uint32_t push(TraceOp op) {
-    op.id = id_counter_->fetch_add(1, std::memory_order_relaxed);
+    op.id = (*id_counter_)++;
     op.subcore = subcore_;
     op.add_dep(serial_anchor_);
     ops_.push_back(op);
@@ -124,7 +123,7 @@ class TraceBuilder {
 
  private:
   std::uint32_t subcore_;
-  std::atomic<std::uint32_t>* id_counter_;
+  std::uint32_t* id_counter_;
   std::uint32_t serial_anchor_ = 0;
   std::vector<TraceOp> ops_;
 };

@@ -1,6 +1,7 @@
 // Tests for the AscendC runtime layer: launches, contexts, queues, pipes,
 // SyncAll, cross-core flags, and error propagation.
 #include <atomic>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +133,63 @@ TEST(Runtime, FlagWaitCreatesTimingDependency) {
   // Note: flag.set is on MTE3 and does not depend on the burn op here, so
   // this only checks the wait->tail ordering exists and time is sane.
   EXPECT_GE(r.time_s, dev.config().launch_overhead_s);
+}
+
+/// Runs `body` as a launch that is expected to deadlock and returns the
+/// message of the Error it throws ("" if it did not throw one).
+template <typename F>
+std::string deadlock_message(Device& dev, const LaunchSpec& spec, F&& body) {
+  try {
+    launch(dev, spec, body);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Runtime, FlagNeverSetIsReportedAsDeadlock) {
+  Device dev(small_cfg());
+  int unwound = 0;
+  const std::string msg = deadlock_message(
+      dev, {.block_dim = 1, .mode = LaunchMode::Mix}, [&](KernelContext& c) {
+        auto& flags = c.shared().flags("never_set", 2);
+        if (c.is_vector() && c.GetSubBlockIdx() == 1) {
+          struct Unwind {
+            int& n;
+            ~Unwind() { ++n; }
+          } guard{unwound};
+          flags.wait(c, 1);  // nobody ever sets it
+        }
+      });
+  EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("sub-core 2 waits on flag 'never_set'[1]"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(unwound, 1) << "the parked sub-core's stack must unwind";
+  // The device stays usable after a deadlocked launch.
+  const auto r = launch(dev, {.block_dim = 1, .mode = LaunchMode::Mix},
+                        [](KernelContext& c) { c.SyncAll(); });
+  EXPECT_EQ(r.launches, 1);
+}
+
+TEST(Runtime, SyncAllSkippedBySubcoreIsReportedAsDeadlock) {
+  Device dev(small_cfg());
+  const std::string msg = deadlock_message(
+      dev, {.block_dim = 4, .mode = LaunchMode::VectorOnly},
+      [](KernelContext& c) {
+        c.SyncAll();
+        if (c.GetBlockIdx() == 2) return;  // skips the second barrier
+        c.SyncAll();
+      });
+  EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
+  for (int s : {0, 1, 3}) {
+    EXPECT_NE(msg.find("sub-core " + std::to_string(s) +
+                       " waits on SyncAll epoch 2"),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(msg.find("sub-core 2 "), std::string::npos)
+      << "the finished sub-core is not blocked: " << msg;
 }
 
 TEST(Pipe, QueueAllocEnqueDequeRoundtrip) {

@@ -20,7 +20,6 @@
 #include "kernels/mcscan.hpp"
 #include "kernels/vec_cumsum.hpp"
 #include "serve/cluster.hpp"
-#include "sim/executor.hpp"
 #include "sim/fault.hpp"
 #include "test_helpers.hpp"
 
@@ -307,6 +306,18 @@ TEST(Chaos, ClusterToleratesOneFaultyDevice) {
   ascan::Session ref(chaos_cfg());
   const auto want = ref.cumsum_batched(x, 1, x.size()).values;
 
+  // The battered device is the hot key's affinity home (placement is a
+  // pure hash of the GroupKey), so it serves traffic however quickly its
+  // siblings drain their queues.
+  int faulty = -1;
+  {
+    Cluster probe({.num_devices = 4, .machine = chaos_cfg()});
+    faulty = probe.submit(Request::cumsum(x, 128, false, Priority::Bulk))
+                 .get()
+                 .device;
+  }
+  ASSERT_GE(faulty, 0);
+
   std::uint64_t completed_total = 0, failed_total = 0, retries_total = 0;
   std::uint64_t faulty_device_calls = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -315,8 +326,8 @@ TEST(Chaos, ClusterToleratesOneFaultyDevice) {
     bad.mte_transient_rate = 0.01;
     bad.ecc_double_rate = 0.001;
     bad.hang_rate = 0.001;
-    std::vector<sim::FaultPlan> plans(4);  // only device 1 is armed
-    plans[1] = bad;
+    std::vector<sim::FaultPlan> plans(4);  // only the home device is armed
+    plans[static_cast<std::size_t>(faulty)] = bad;
     Cluster cluster({.policy = {.max_batch = 4, .max_wait_s = 100e-6},
                      .num_devices = 4,
                      .machine = chaos_cfg(),
@@ -356,7 +367,8 @@ TEST(Chaos, ClusterToleratesOneFaultyDevice) {
     completed_total += m.completed;
     failed_total += m.failed;
     retries_total += m.sim_retries;
-    faulty_device_calls += cluster.device(1).device_stats().op_calls;
+    faulty_device_calls +=
+        cluster.device(faulty).device_stats().op_calls;
     // Steal/routing counters are part of the exported degradation story.
     const std::string j = cluster.metrics_json();
     EXPECT_NE(j.find("\"steals\""), std::string::npos);
@@ -588,31 +600,24 @@ TEST(Chaos, DeviceDiesWhileHoldingPreemptionParkedBatchFailsOverBitExact) {
                    .spill_margin = 1 << 20,  // placement is pure affinity
                    .health = hp});
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
+  // The interactive requests are submitted from the bulk launch's first
+  // chunk callback, which the device's worker runs before its preemption
+  // check: the bulk parks at its first tile boundary however fast the host
+  // runs the steps.
+  std::future<Response> hi1, hi2;
   Request bulk = Request::cumsum(x, 16, false, Priority::Bulk);
   bulk.on_chunk = [&](const StreamChunk&) {
-    std::lock_guard<std::mutex> lk(mu);
-    started = true;
-    cv.notify_all();
+    if (hi1.valid()) return;
+    hi1 = cluster.submit(Request::cumsum(testing::exact_scan_workload(n1), 64)
+                             .with_slo(SloTier::Gold, 10e-3));
+    hi2 = cluster.submit(Request::cumsum(testing::exact_scan_workload(n2), 64)
+                             .with_slo(SloTier::Gold, 10e-3));
   };
   auto bulk_fut = cluster.submit(std::move(bulk));
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
-                            [&] { return started; }))
-        << "bulk launch never started on the affinity device";
-  }
-  auto hi1 = cluster.submit(
-      Request::cumsum(testing::exact_scan_workload(n1), 64)
-          .with_slo(SloTier::Gold, 10e-3));
-  auto hi2 = cluster.submit(
-      Request::cumsum(testing::exact_scan_workload(n2), 64)
-          .with_slo(SloTier::Gold, 10e-3));
 
   const auto r = bulk_fut.get();
   ASSERT_EQ(r.status, Status::Ok) << r.reason;
+  ASSERT_TRUE(hi1.valid()) << "bulk never started on the affinity device";
   // The interactive launches died with the device; they may fail over or
   // fail typed, but must resolve either way.
   for (auto* f : {&hi1, &hi2}) {

@@ -1,14 +1,12 @@
-// Host execution engine regression tests: pooled execution and the timing
-// cache must be observationally invisible — bit-identical Reports, values
-// and traces versus freshly spawned threads and full discrete-event
-// replays, for every operator family.
+// Host execution engine regression tests: the fiber executor, pooled
+// contexts and the timing cache must be observationally invisible — golden
+// Reports for every operator family, bit-identical repeats, timing-cache
+// hits equal to full discrete-event replays, and no host thread per launch.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,10 +14,7 @@
 #include "core/ascan.hpp"
 #include "kernels/copy_kernel.hpp"
 #include "kernels/scan_strategies.hpp"
-#include "kernels/scan_u.hpp"
-#include "kernels/scan_ul1.hpp"
 #include "kernels/vec_cumsum.hpp"
-#include "sim/executor.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -28,10 +23,8 @@ namespace {
 using ascan::ScanAlgo;
 using ascan::Session;
 
-sim::MachineConfig cfg_with(sim::ExecutorMode mode,
-                            bool timing_cache = false) {
+sim::MachineConfig cfg_with(bool timing_cache) {
   auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
   cfg.timing_cache = timing_cache;
   return cfg;
 }
@@ -47,148 +40,15 @@ std::vector<half> distinct_keys(std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool vs spawn: bit-identical Reports and values for every operator family.
+// Repeats and host threads.
 
-/// Asserts spawn/pool Reports agree bit for bit. GM buffers carry
-/// deterministic virtual addresses (gm_space.hpp) and op ids are
-/// canonically renumbered before the timing pass, so even the L2- and
-/// arbiter-derived fields must be independent of the executor and of host
-/// heap/thread state.
-void expect_reports_equivalent(const sim::Report& a, const sim::Report& b) {
-  EXPECT_EQ(a.time_s, b.time_s) << "simulated time differs across executors";
-  EXPECT_TRUE(sim::identical(a, b)) << "Report fields differ across executors";
-  EXPECT_FALSE(a.any_faults());
-  EXPECT_FALSE(b.any_faults());
-}
-
-/// Runs `op` on a spawn-mode and a pool-mode session and asserts the
-/// Reports match on every address-independent field (values are asserted
-/// inside `op`).
-template <typename Op>
-void expect_executors_identical(Op&& op) {
-  Session spawn(cfg_with(sim::ExecutorMode::Spawn));
-  Session pool(cfg_with(sim::ExecutorMode::Pool));
-  const sim::Report a = op(spawn);
-  const sim::Report b = op(pool);
-  expect_reports_equivalent(a, b);
-}
-
-TEST(Executor, PoolMatchesSpawnBitExactOnSharedBuffers) {
-  // Two devices, one set of GM buffers: every launch sees identical GM
-  // addresses, so the full Report — l2_hit_bytes and fluid-model fields
-  // included — must match bit for bit between executors. scan_u/scan_ul1
-  // upload ScanConstants matrices per call; the deterministic virtual GM
-  // allocator hands the pool device the same (recycled) virtual addresses
-  // the spawn device's call used, so they qualify too.
-  const std::size_t n = 8192;
-  acc::Device spawn(cfg_with(sim::ExecutorMode::Spawn));
-  acc::Device pool(cfg_with(sim::ExecutorMode::Pool));
-  auto x = spawn.upload(testing::exact_scan_workload(n, 31));
-  auto y = spawn.alloc<half>(n);
-  std::vector<half> va(n);
-
-  using KernelFn = std::function<sim::Report(acc::Device&)>;
-  const std::pair<const char*, KernelFn> cases[] = {
-      {"copy", [&](acc::Device& d) {
-         return kernels::copy_kernel<half>(d, x.tensor(), y.tensor(), n, 0);
-       }},
-      {"scan_u", [&](acc::Device& d) {
-         return kernels::scan_u(d, x.tensor(), y.tensor(), n, 128);
-       }},
-      {"scan_ul1", [&](acc::Device& d) {
-         return kernels::scan_ul1(d, x.tensor(), y.tensor(), n, 128);
-       }},
-      {"vec_cumsum", [&](acc::Device& d) {
-         return kernels::vec_cumsum(d, x.tensor(), y.tensor(), n);
-       }},
-  };
-  for (const auto& [name, fn] : cases) {
-    const sim::Report a = fn(spawn);
-    va = y.host();
-    const sim::Report b = fn(pool);
-    EXPECT_TRUE(sim::identical(a, b))
-        << name << ": spawn time " << a.time_s << "s vs pool " << b.time_s;
-    EXPECT_EQ(va, y.host()) << name << ": values differ across executors";
-  }
-}
-
-TEST(Executor, PoolMatchesSpawnEveryScanAlgo) {
-  const auto x = testing::exact_scan_workload(4096, 23);
-  {  // MCScan (fp32 output path)
-    std::vector<float> first;
-    expect_executors_identical([&](Session& s) {
-      auto r = s.cumsum(x);
-      if (first.empty()) {
-        first = r.values;
-      } else {
-        EXPECT_EQ(first, r.values) << "MCScan values differ across executors";
-      }
-      return r.report;
-    });
-  }
-  for (ScanAlgo algo :
-       {ScanAlgo::ScanU, ScanAlgo::ScanUL1, ScanAlgo::VectorBaseline}) {
-    std::vector<half> first;
-    expect_executors_identical([&](Session& s) {
-      auto r = s.cumsum_f16(x, {.algo = algo});
-      if (first.empty()) {
-        first = r.values;
-      } else {
-        const bool same = first == r.values;
-        EXPECT_TRUE(same) << "values differ across executors, algo "
-                          << static_cast<int>(algo);
-      }
-      return r.report;
-    });
-  }
-}
-
-TEST(Executor, PoolMatchesSpawnSort) {
-  const auto keys = distinct_keys(2048);
-  std::vector<half> values;
-  std::vector<std::int32_t> indices;
-  expect_executors_identical([&](Session& s) {
-    auto r = s.sort(keys);
-    if (values.empty()) {
-      values = r.values;
-      indices = r.indices;
-    } else {
-      EXPECT_TRUE(values == r.values && indices == r.indices)
-          << "sort output differs across executors";
-    }
-    return r.report;
-  });
-}
-
-TEST(Executor, PoolMatchesSpawnTopPSampleBatch) {
-  const std::size_t batch = 4, vocab = 512;
-  std::vector<half> probs(batch * vocab);
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t i = 0; i < vocab; ++i) {
-      const std::size_t p = (i * 2654435761u) % vocab;
-      probs[b * vocab + i] = half(static_cast<float>(p + 1) / 512.0f);
-    }
-  }
-  const std::vector<double> u = {0.1, 0.4, 0.7, 0.95};
-  std::vector<std::int32_t> tokens;
-  expect_executors_identical([&](Session& s) {
-    auto r = s.top_p_sample_batch(probs, batch, vocab, 0.9, u);
-    if (tokens.empty()) {
-      tokens = r.tokens;
-    } else {
-      EXPECT_EQ(tokens, r.tokens) << "sampled tokens differ across executors";
-    }
-    return r.report;
-  });
-}
-
-TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
+TEST(Executor, RepeatedLaunchesStayIdentical) {
   // Repeated launches run on recycled contexts/arenas/scratch — they must
   // reproduce values and every trace-derived metric exactly. Session::cumsum
   // uploads fresh GM buffers per call, but the virtual-address free list
   // hands each repeat the same addresses, so from the second call on (L2
   // warm) the Reports are bit-identical.
-  Session s(cfg_with(sim::ExecutorMode::Pool));
+  Session s;
   const auto x = testing::exact_scan_workload(2048, 5);
   const auto r1 = s.cumsum(x);
   const auto r2 = s.cumsum(x);
@@ -201,7 +61,7 @@ TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
 
   // Device-resident repeats on fixed buffers: no internal GM allocations,
   // so after the first (cold-L2) launch the Reports must be bit-identical.
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool));
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
   auto dx = dev.upload(x);
   auto dy = dev.alloc<half>(x.size());
   (void)kernels::vec_cumsum(dev, dx.tensor(), dy.tensor(), x.size());
@@ -213,18 +73,35 @@ TEST(Executor, RepeatedLaunchesOnPoolStayIdentical) {
       << "steady-state repeated launches must be bit-identical";
 }
 
-TEST(Executor, PoolGrowsToLargestLaunchAndKeepsWorkers) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool));
-  auto x = dev.alloc<half>(4096, half(1.0f));
-  auto y = dev.alloc<half>(4096);
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 2);
-  const int small = dev.engine().pool_workers();
-  EXPECT_EQ(small, 2);  // VectorOnly launch of 2 blocks = 2 sub-cores
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 0);
-  const int large = dev.engine().pool_workers();
-  EXPECT_EQ(large, dev.config().num_vec_cores());
-  kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), 4096, 1);
-  EXPECT_EQ(dev.engine().pool_workers(), large) << "pool must never shrink";
+/// Host threads of this process, from the "Threads:" line of
+/// /proc/self/status (-1 where it cannot be read).
+int host_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(Executor, FullWidthMixLaunchCreatesNoHostThread) {
+  // Every sub-core body runs as a fiber on the launching thread, so even a
+  // 60-sub-core MIX launch that meets at SyncAll leaves the thread count
+  // untouched — during the launch as well as after it.
+  acc::Device dev(sim::MachineConfig::ascend_910b4());
+  const int before = host_threads();
+  ASSERT_GT(before, 0);
+  int during = -1;
+  acc::launch(dev, {.block_dim = 20, .mode = acc::LaunchMode::Mix},
+              [&](acc::KernelContext& c) {
+                c.SyncAll();
+                if (c.GetBlockIdx() + c.GetSubBlockIdx() == 0) {
+                  during = host_threads();
+                }
+                c.SyncAll();
+              });
+  EXPECT_EQ(during, before);
+  EXPECT_EQ(host_threads(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +237,7 @@ TEST(Executor, GoldenReportsPinnedBitForBit) {
 // Timing cache: hits only when provably bit-exact.
 
 TEST(Executor, TimingCacheHitsConstantShapeLaunches) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
+  acc::Device dev(cfg_with(/*timing_cache=*/true));
   ASSERT_TRUE(dev.engine().timing_cache_enabled());
   auto x = dev.alloc<half>(8192, half(2.0f));
   auto y = dev.alloc<half>(8192);
@@ -383,7 +260,7 @@ TEST(Executor, TimingCacheHitsConstantShapeLaunches) {
 
   // A cache-enabled device must produce the same Reports as a cache-free
   // one, launch by launch.
-  acc::Device ref(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/false));
+  acc::Device ref(cfg_with(/*timing_cache=*/false));
   auto rx = ref.alloc<half>(8192, half(2.0f));
   auto ry = ref.alloc<half>(8192);
   // Note: gm addresses differ between devices, so compare each device's own
@@ -403,7 +280,7 @@ TEST(Executor, TimingCacheHitsConstantShapeLaunches) {
 }
 
 TEST(Executor, TimingCacheInvalidatedByL2Reset) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
+  acc::Device dev(cfg_with(/*timing_cache=*/true));
   auto x = dev.alloc<half>(8192, half(3.0f));
   auto y = dev.alloc<half>(8192);
   for (int i = 0; i < 5; ++i) {
@@ -421,7 +298,7 @@ TEST(Executor, TimingCacheInvalidatedByL2Reset) {
 }
 
 TEST(Executor, TimingCacheBypassedForTimeline) {
-  acc::Device dev(cfg_with(sim::ExecutorMode::Pool, /*timing_cache=*/true));
+  acc::Device dev(cfg_with(/*timing_cache=*/true));
   const std::size_t n = 4096;
   auto x = dev.alloc<half>(n, half(1.0f));
   auto y = dev.alloc<half>(n);
@@ -454,38 +331,6 @@ TEST(Executor, TimingCacheBypassedForTimeline) {
   // And the bypassed replay still matches the cached steady state.
   const auto again = probe(nullptr);
   EXPECT_TRUE(sim::identical(rep, again));
-}
-
-// ---------------------------------------------------------------------------
-// Runtime switches.
-
-TEST(Executor, EnvSwitchSelectsExecutor) {
-  ::setenv("ASCAN_EXECUTOR", "spawn", 1);
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Spawn);
-  ::setenv("ASCAN_EXECUTOR", "POOL", 1);  // case-insensitive
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Pool);
-  ::setenv("ASCAN_EXECUTOR", "bogus", 1);
-  EXPECT_THROW(sim::resolve_executor_mode(sim::ExecutorMode::Auto), Error);
-  ::unsetenv("ASCAN_EXECUTOR");
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Auto),
-            sim::ExecutorMode::Pool);  // default
-  // An explicit MachineConfig field wins over the environment.
-  ::setenv("ASCAN_EXECUTOR", "pool", 1);
-  EXPECT_EQ(sim::resolve_executor_mode(sim::ExecutorMode::Spawn),
-            sim::ExecutorMode::Spawn);
-  ::unsetenv("ASCAN_EXECUTOR");
-}
-
-TEST(Executor, EnvSwitchSelectsTimingCache) {
-  ::setenv("ASCAN_TIMING_CACHE", "1", 1);
-  EXPECT_TRUE(sim::resolve_timing_cache(false));
-  ::setenv("ASCAN_TIMING_CACHE", "off", 1);
-  EXPECT_FALSE(sim::resolve_timing_cache(true));
-  ::unsetenv("ASCAN_TIMING_CACHE");
-  EXPECT_TRUE(sim::resolve_timing_cache(true));
-  EXPECT_FALSE(sim::resolve_timing_cache(false));
 }
 
 }  // namespace

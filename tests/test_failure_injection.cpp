@@ -7,7 +7,6 @@
 
 #include "ascendc/ascendc.hpp"
 #include "core/ascan.hpp"
-#include "sim/executor.hpp"
 #include "kernels/mcscan.hpp"
 #include "kernels/radix_sort.hpp"
 #include "kernels/sampling.hpp"
@@ -272,17 +271,15 @@ TEST(FailureInjection, SameFaultPlanSeedProducesIdenticalReports) {
   EXPECT_DOUBLE_EQ(r1.backoff_s, r2.backoff_s);
 }
 
-TEST(FailureInjection, JitteredBackoffIsSeededAndExecutorInvariant) {
+TEST(FailureInjection, JitteredBackoffIsSeededAndRepeatable) {
   // Backoff jitter de-synchronizes a retry herd but must stay a pure
   // function of (jitter_seed, call ordinal, retry ordinal): bit-identical
-  // across runs and across host executors, never dependent on thread
-  // scheduling or wall clock.
+  // across runs on fresh sessions, never dependent on host scheduling or
+  // wall clock.
   const auto x = testing::exact_scan_workload(2048, 31);
-  auto run_once = [&x](sim::ExecutorMode mode, double jitter,
-                       std::uint64_t jitter_seed) {
+  auto run_once = [&x](double jitter, std::uint64_t jitter_seed) {
     auto cfg = small_cfg();
     cfg.num_ai_cores = 4;
-    cfg.executor = mode;
     ascan::Session s(cfg);
     sim::FaultPlan p;
     p.seed = 42;
@@ -302,25 +299,21 @@ TEST(FailureInjection, JitteredBackoffIsSeededAndExecutorInvariant) {
     return s.cumulative_retry_stats();
   };
 
-  const auto a = run_once(sim::ExecutorMode::Spawn, 0.5, 7);
-  const auto b = run_once(sim::ExecutorMode::Spawn, 0.5, 7);
-  const auto c = run_once(sim::ExecutorMode::Pool, 0.5, 7);
+  const auto a = run_once(0.5, 7);
+  const auto b = run_once(0.5, 7);
   ASSERT_GE(a.retries, 1u) << "plan never exercised the backoff path";
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.retries, b.retries);
-  EXPECT_DOUBLE_EQ(a.backoff_s, b.backoff_s);  // same seed, same run
-  EXPECT_EQ(a.attempts, c.attempts);
-  EXPECT_EQ(a.retries, c.retries);
-  EXPECT_DOUBLE_EQ(a.backoff_s, c.backoff_s);  // executor-invariant
+  EXPECT_EQ(a.backoff_s, b.backoff_s);  // same seed, bit-identical run
 
   // A different jitter seed moves the delays (the fault sequence itself is
   // the fault plan's business and stays put)...
-  const auto d = run_once(sim::ExecutorMode::Spawn, 0.5, 8);
+  const auto d = run_once(0.5, 8);
   EXPECT_EQ(a.retries, d.retries);
   EXPECT_NE(a.backoff_s, d.backoff_s);
   // ...and zero jitter reproduces the legacy fixed doubling, bounded by
   // the jittered run's [1 -/+ 0.5] envelope.
-  const auto e = run_once(sim::ExecutorMode::Spawn, 0.0, 7);
+  const auto e = run_once(0.0, 7);
   EXPECT_EQ(a.retries, e.retries);
   EXPECT_GE(a.backoff_s, 0.5 * e.backoff_s);
   EXPECT_LE(a.backoff_s, 1.5 * e.backoff_s);

@@ -16,7 +16,7 @@
 #include "core/ascan.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
-#include "sim/executor.hpp"
+#include "serve_test_helpers.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -27,12 +27,6 @@ using ascan::Session;
 using ascan::SortAlgo;
 using namespace ascan::serve;
 using testing::exact_scan_workload;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 /// 0/1 segment-start flags with a forced start at 0 (matches the serving
 /// engine's request-boundary normalisation, so direct calls are comparable).
@@ -270,16 +264,20 @@ void expect_matches(const Response& got, const Expected& e, std::size_t i) {
   ASSERT_EQ(got.token, e.direct.token) << "case " << i;
 }
 
-void run_bit_exact(sim::ExecutorMode mode) {
-  Session ref(cfg_with(mode));
+std::vector<Expected> make_cases(std::size_t n) {
+  Session ref;
+  std::vector<Expected> cases;
+  cases.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) cases.push_back(make_case(i, ref));
+  return cases;
+}
+
+TEST(ServeEngine, BitExactVersusDirectSession) {
   constexpr std::size_t kCases = 24;
   constexpr int kClients = 4;
-  std::vector<Expected> cases;
-  cases.reserve(kCases);
-  for (std::size_t i = 0; i < kCases; ++i) cases.push_back(make_case(i, ref));
+  const std::vector<Expected> cases = make_cases(kCases);
 
-  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 300e-6},
-                 .machine = cfg_with(mode)});
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 300e-6}});
   std::vector<std::future<Response>> futs(kCases);
   std::vector<std::thread> clients;
   std::atomic<std::size_t> next{0};
@@ -301,12 +299,28 @@ void run_bit_exact(sim::ExecutorMode mode) {
   EXPECT_EQ(m.failed + m.cancelled + m.rejected_capacity, 0u);
 }
 
-TEST(ServeEngine, BitExactVersusDirectSessionSpawn) {
-  run_bit_exact(sim::ExecutorMode::Spawn);
-}
-
-TEST(ServeEngine, BitExactVersusDirectSessionPool) {
-  run_bit_exact(sim::ExecutorMode::Pool);
+TEST(ServeEngine, TwoFreshEnginesServeBitIdenticalResponses) {
+  // One client that waits for each response before the next submit makes
+  // the launch sequence a function of the request stream alone, so two
+  // fresh engines must agree on every payload bit and every simulated
+  // Report (the L2 state each launch sees included).
+  constexpr std::size_t kCases = 24;
+  const std::vector<Expected> cases = make_cases(kCases);
+  auto run = [&] {
+    Engine engine({.policy = {.max_batch = 8, .max_wait_s = 300e-6}});
+    std::vector<Response> rs;
+    rs.reserve(kCases);
+    for (std::size_t i = 0; i < kCases; ++i) {
+      rs.push_back(engine.submit(cases[i].req).get());
+      expect_matches(rs.back(), cases[i], i);
+    }
+    return rs;
+  };
+  const auto a = run();
+  const auto b = run();
+  for (std::size_t i = 0; i < kCases; ++i) {
+    testing::expect_identical_responses(a[i], b[i], i);
+  }
 }
 
 TEST(ServeEngine, BatchingActuallyCoalesces) {
@@ -610,11 +624,16 @@ TEST(SessionStepwise, MisuseThrows) {
 
 // ---------------------------------------------------------------------------
 // Tentpole: streamed per-tile results through the Engine. Chunks must be
-// bit-exact prefixes of the final payload under both host executors.
+// bit-exact prefixes of the final payload, and a fresh engine must stream
+// the very same chunks again.
 
-void run_streaming_prefixes(sim::ExecutorMode mode) {
-  Engine engine({.policy = {.max_batch = 4, .max_wait_s = 100e-6},
-                 .machine = cfg_with(mode)});
+struct Streamed {
+  Response resp;
+  std::vector<StreamChunk> chunks;
+};
+
+Streamed run_streaming_prefixes() {
+  Engine engine({.policy = {.max_batch = 4, .max_wait_s = 100e-6}});
   const auto x = exact_scan_workload(2048, 50);  // 8 steps at tile 16
   Request req = Request::cumsum(x, 16);
   std::mutex mu;
@@ -624,11 +643,11 @@ void run_streaming_prefixes(sim::ExecutorMode mode) {
     chunks.push_back(c);
   };
   const auto resp = engine.submit(std::move(req)).get();
-  ASSERT_TRUE(resp.ok()) << resp.reason;
+  EXPECT_TRUE(resp.ok()) << resp.reason;
   engine.shutdown(ShutdownMode::Drain);
 
   std::lock_guard<std::mutex> lk(mu);
-  ASSERT_GE(chunks.size(), 2u);  // genuinely incremental delivery
+  EXPECT_GE(chunks.size(), 2u);  // genuinely incremental delivery
   EXPECT_EQ(resp.chunks_streamed, chunks.size());
   std::size_t off = 0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -636,12 +655,13 @@ void run_streaming_prefixes(sim::ExecutorMode mode) {
     EXPECT_EQ(chunks[i].offset, off) << "chunk " << i;
     EXPECT_EQ(chunks[i].last, i + 1 == chunks.size()) << "chunk " << i;
     EXPECT_EQ(chunks[i].launch_id, resp.launch_id);
-    ASSERT_LE(off + chunks[i].values_f16.size(), resp.values_f16.size());
-    for (std::size_t j = 0; j < chunks[i].values_f16.size(); ++j) {
-      ASSERT_EQ(static_cast<float>(chunks[i].values_f16[j]),
-                static_cast<float>(resp.values_f16[off + j]))
-          << "chunk " << i << " element " << j;
-    }
+    const std::size_t n = chunks[i].values_f16.size();
+    EXPECT_LE(off + n, resp.values_f16.size());
+    if (off + n > resp.values_f16.size()) break;
+    const auto first = resp.values_f16.begin() + std::ptrdiff_t(off);
+    EXPECT_EQ(testing::half_bits(chunks[i].values_f16),
+              testing::half_bits({first, first + std::ptrdiff_t(n)}))
+        << "chunk " << i;
     off += chunks[i].values_f16.size();
   }
   EXPECT_EQ(off, resp.values_f16.size());  // chunks tile the full payload
@@ -651,14 +671,21 @@ void run_streaming_prefixes(sim::ExecutorMode mode) {
   EXPECT_EQ(m.stream_chunks, chunks.size());
   EXPECT_EQ(m.chunk_latency.count(), chunks.size());
   EXPECT_GE(m.sim_steps, static_cast<int>(chunks.size()));
+  return {resp, chunks};
 }
 
-TEST(ServeStreaming, ChunksAreBitExactPrefixesSpawn) {
-  run_streaming_prefixes(sim::ExecutorMode::Spawn);
-}
-
-TEST(ServeStreaming, ChunksAreBitExactPrefixesPool) {
-  run_streaming_prefixes(sim::ExecutorMode::Pool);
+TEST(ServeStreaming, ChunksAreBitExactPrefixesAndRepeatable) {
+  // Each run checks its chunks tile its payload exactly, so with identical
+  // payloads equal chunk offsets mean identical chunks.
+  const Streamed a = run_streaming_prefixes();
+  const Streamed b = run_streaming_prefixes();
+  testing::expect_identical_responses(a.resp, b.resp, 0);
+  auto offsets = [](const Streamed& r) {
+    std::vector<std::size_t> o;
+    for (const auto& c : r.chunks) o.push_back(c.offset);
+    return o;
+  };
+  EXPECT_EQ(offsets(a), offsets(b));
 }
 
 TEST(ServeStreaming, SegmentedChunksTileTheFinalPayload) {

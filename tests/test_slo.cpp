@@ -7,8 +7,9 @@
 //    lost or duplicated.
 //  * Preemption is observationally invisible except in latency: a bulk
 //    batch parked at a tile boundary and resumed later produces results
-//    byte-identical to an unpreempted run (both host executors), with its
-//    streamed chunks still bit-exact contiguous prefixes.
+//    byte-identical to an unpreempted run, with its streamed chunks still
+//    bit-exact contiguous prefixes, and a fresh engine replays the park
+//    point and every Report bit for bit.
 //  * Preemption never starves bulk: a launch whose rows have aged past the
 //    starvation guard cannot be parked again (aging outranks preemption,
 //    exactly as it outranks lane priority).
@@ -17,10 +18,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,7 +29,7 @@
 #include "serve/batcher.hpp"
 #include "serve/cluster.hpp"
 #include "serve/engine.hpp"
-#include "sim/executor.hpp"
+#include "serve_test_helpers.hpp"
 #include "test_helpers.hpp"
 
 namespace ascend {
@@ -39,12 +38,6 @@ namespace {
 using ascan::Session;
 using namespace ascan::serve;
 using testing::exact_scan_workload;
-
-sim::MachineConfig cfg_with(sim::ExecutorMode mode) {
-  auto cfg = sim::MachineConfig::ascend_910b4();
-  cfg.executor = mode;
-  return cfg;
-}
 
 // ---------------------------------------------------------------------------
 // EDF property: randomized arrival/deadline streams against an oracle.
@@ -109,16 +102,23 @@ TEST(SloEdfProperty, RandomizedDeadlineStreamPopsInEdfOrderExactlyOnce) {
 // ---------------------------------------------------------------------------
 // Tentpole: preempted-vs-unpreempted bit-exactness.
 //
-// A long bulk scan streams its first chunk (so the launch is provably in
-// flight), then a deadline-bearing interactive request of a different
-// GroupKey arrives. With an infinite preemption horizon the bulk launch
-// must park at the next tile boundary, serve the interactive batch, and
-// resume — and the final bulk payload must equal the direct Session
-// result bit for bit, chunks included.
+// A long bulk scan's first chunk callback submits a deadline-bearing
+// interactive request of a different GroupKey. The worker delivers chunks
+// before it checks for preemption, so with an infinite horizon the bulk
+// launch parks at exactly the next tile boundary, serves the interactive
+// batch, and resumes. The bulk payload must equal the direct Session result
+// bit for bit, chunks included, and a fresh engine must replay the whole
+// exchange — park point and Reports — bit for bit.
 
-void run_preempted_bit_exact(sim::ExecutorMode mode) {
+struct PreemptedRun {
+  Response bulk;
+  Response hi;
+  std::vector<half> streamed;
+};
+
+PreemptedRun run_preempted_bit_exact() {
   const auto x = exact_scan_workload(16384, 77);  // tile 16 -> 64 steps
-  Session direct(cfg_with(mode));
+  Session direct;
   const auto want = direct.cumsum_batched(x, 1, x.size(), 16);
 
   // Generous aging limit: the aging guard outranks preemption, and a
@@ -128,74 +128,60 @@ void run_preempted_bit_exact(sim::ExecutorMode mode) {
                             .max_wait_s = 50e-6,
                             .aging_factor = 1e9,
                             .preempt_slack_s = 1e9},
-                 .num_workers = 1,
-                 .machine = cfg_with(mode)});
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  std::vector<half> streamed;
-  Request bulk = Request::cumsum(x, 16, false, Priority::Bulk);
-  bulk.tier = SloTier::Bronze;
-  bulk.on_chunk = [&](const StreamChunk& c) {
-    std::lock_guard<std::mutex> lk(mu);
-    EXPECT_EQ(c.offset, streamed.size()) << "chunk offsets not contiguous";
-    streamed.insert(streamed.end(), c.values_f16.begin(),
-                    c.values_f16.end());
-    started = true;
-    cv.notify_all();
-  };
-  auto bulk_fut = engine.submit(std::move(bulk));
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
-                            [&] { return started; }))
-        << "bulk launch never streamed its first chunk";
-  }
+                 .num_workers = 1});
 
   // Different GroupKey (tile 64), so continuation admission cannot seat
   // it — preemption is the only way it runs before the bulk tail.
-  auto hi_fut = engine.submit(
-      Request::cumsum(exact_scan_workload(256, 3), 64)
-          .with_slo(SloTier::Gold, 10e-3));
-
-  const auto hi = hi_fut.get();
-  ASSERT_TRUE(hi.ok()) << hi.reason;
-  const auto r = bulk_fut.get();
-  ASSERT_TRUE(r.ok()) << r.reason;
+  std::future<Response> hi_fut;
+  std::vector<half> streamed;
+  Request bulk = Request::cumsum(x, 16, false, Priority::Bulk);
+  bulk.tier = SloTier::Bronze;
+  // Chunks arrive on the engine's single worker thread, in order, and the
+  // test thread reads `streamed` only after the bulk future resolved.
+  bulk.on_chunk = [&](const StreamChunk& c) {
+    EXPECT_EQ(c.offset, streamed.size()) << "chunk offsets not contiguous";
+    if (streamed.empty()) {
+      hi_fut = engine.submit(Request::cumsum(exact_scan_workload(256, 3), 64)
+                                 .with_slo(SloTier::Gold, 10e-3));
+    }
+    streamed.insert(streamed.end(), c.values_f16.begin(),
+                    c.values_f16.end());
+  };
+  auto bulk_fut = engine.submit(std::move(bulk));
+  PreemptedRun run;
+  run.bulk = bulk_fut.get();
+  run.hi = hi_fut.get();
+  run.streamed = std::move(streamed);
   engine.shutdown(ShutdownMode::Drain);
 
+  const Response& hi = run.hi;
+  const Response& r = run.bulk;
+  EXPECT_TRUE(hi.ok()) << hi.reason;
+  EXPECT_TRUE(r.ok()) << r.reason;
   EXPECT_GE(r.preemptions, 1u) << "bulk launch was never parked";
   EXPECT_EQ(r.resumed_from, -1)
       << "same-device preemption resume must not read as a failover";
-  ASSERT_EQ(r.values_f16.size(), want.values.size());
-  for (std::size_t i = 0; i < want.values.size(); ++i) {
-    ASSERT_EQ(static_cast<float>(r.values_f16[i]),
-              static_cast<float>(want.values[i]))
-        << "preempted result diverged at index " << i;
-  }
+  EXPECT_EQ(testing::half_bits(r.values_f16), testing::half_bits(want.values))
+      << "preempted result diverged from the direct Session";
   // Streamed chunks spanning the park/resume still concatenate to the
   // exact final payload.
-  ASSERT_EQ(streamed.size(), r.values_f16.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    ASSERT_EQ(static_cast<float>(streamed[i]),
-              static_cast<float>(r.values_f16[i]))
-        << "streamed prefix diverged at index " << i;
-  }
+  EXPECT_EQ(testing::half_bits(run.streamed), testing::half_bits(r.values_f16))
+      << "streamed prefix diverged from the final payload";
 
   const auto m = engine.metrics();
   EXPECT_GE(m.preemptions, 1u);
   EXPECT_GE(m.preempted_tiles_resumed, 1u);
   EXPECT_EQ(m.tier_latency[static_cast<std::size_t>(SloTier::Gold)].count(),
             1u);
+  return run;
 }
 
-TEST(SloPreemption, PreemptedBulkBitExactSpawn) {
-  run_preempted_bit_exact(sim::ExecutorMode::Spawn);
-}
-
-TEST(SloPreemption, PreemptedBulkBitExactPool) {
-  run_preempted_bit_exact(sim::ExecutorMode::Pool);
+TEST(SloPreemption, PreemptedBulkBitExactAndRepeatable) {
+  const PreemptedRun a = run_preempted_bit_exact();
+  const PreemptedRun b = run_preempted_bit_exact();
+  testing::expect_identical_responses(a.bulk, b.bulk, 0);
+  testing::expect_identical_responses(a.hi, b.hi, 1);
+  EXPECT_EQ(testing::half_bits(a.streamed), testing::half_bits(b.streamed));
 }
 
 TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
@@ -212,27 +198,21 @@ TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
                             .aging_factor = 1e9,
                             .preempt_slack_s = 1e9},
                  .num_workers = 1});
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
+  // The interactive request is submitted from the first chunk's callback,
+  // which the worker runs before its preemption check: the park lands on
+  // the first tile boundary however fast the host runs the steps.
+  std::future<Response> hi_fut;
   Request bulk = Request::segmented_cumsum(x, flags);
   bulk.on_chunk = [&](const StreamChunk&) {
-    std::lock_guard<std::mutex> lk(mu);
-    started = true;
-    cv.notify_all();
+    if (hi_fut.valid()) return;
+    hi_fut = engine.submit(Request::cumsum(exact_scan_workload(256, 4), 64)
+                               .with_slo(SloTier::Gold, 10e-3));
   };
   auto bulk_fut = engine.submit(std::move(bulk));
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(10),
-                            [&] { return started; }));
-  }
-  auto hi_fut = engine.submit(
-      Request::cumsum(exact_scan_workload(256, 4), 64)
-          .with_slo(SloTier::Gold, 10e-3));
-  ASSERT_TRUE(hi_fut.get().ok());
   const auto r = bulk_fut.get();
   ASSERT_TRUE(r.ok()) << r.reason;
+  ASSERT_TRUE(hi_fut.valid()) << "bulk launch never streamed a chunk";
+  ASSERT_TRUE(hi_fut.get().ok());
   engine.shutdown(ShutdownMode::Drain);
 
   EXPECT_GE(r.preemptions, 1u);

@@ -5,10 +5,12 @@
 # Usage:
 #   tools/run_host_bench.sh [build-dir] [extra google-benchmark flags...]
 #
-# The end-to-end Session benchmarks embed a spawn-vs-pool determinism check
-# (`cross_exec_ok` counter): the JSON therefore carries, from the same run,
-# both the launches/sec comparison and the evidence that the two executors
-# produced bit-identical simulated times and values.
+# The end-to-end Session benchmarks embed a run-twice determinism check
+# (`run_twice_ok` counter): the JSON therefore carries, from the same run,
+# both the launches/sec figures and the evidence that two fresh sessions
+# produced bit-identical Reports and values. The host's CPU count and load
+# average before and after the run are added to the JSON context, since
+# host wall-clock figures mean little without them.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -23,39 +25,36 @@ if [[ ! -x "$bench_bin" ]]; then
 fi
 
 out_json="$repo_root/BENCH_sim_host.json"
+load_before="$(cut -d' ' -f1-3 /proc/loadavg)"
 "$bench_bin" \
   --benchmark_format=json \
   --benchmark_out="$out_json" \
   --benchmark_out_format=json \
   "$@"
+load_after="$(cut -d' ' -f1-3 /proc/loadavg)"
 
 echo
 echo "Wrote $out_json"
 
-# Summarise the headline pool-vs-spawn ratio if python3 is available.
+# Record the host state and summarise the run if python3 is available.
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out_json" <<'EOF'
+  python3 - "$out_json" "$(nproc)" "$load_before" "$load_after" <<'PY'
 import json, sys
 
-with open(sys.argv[1]) as f:
+path, nproc, before, after = sys.argv[1:5]
+with open(path) as f:
     data = json.load(f)
+ctx = data.setdefault("context", {})
+ctx["nproc"] = int(nproc)
+ctx["loadavg_1_5_15_before"] = [float(v) for v in before.split()]
+ctx["loadavg_1_5_15_after"] = [float(v) for v in after.split()]
+with open(path, "w") as f:
+    json.dump(data, f, indent=2)
+    f.write("\n")
 
-rates = {}
+print(f"host: nproc {nproc}, load average before {before}, after {after}")
 for b in data.get("benchmarks", []):
-    name = b.get("name", "")
     if "launches_per_s" in b:
-        rates[name] = b["launches_per_s"]
-
-def find(sub):
-    for name, v in rates.items():
-        if sub in name:
-            return v
-    return None
-
-spawn = find("BM_RepeatedLaunch/spawn")
-pool = find("BM_RepeatedLaunch/pool/")
-if spawn and pool:
-    print(f"repeated-launch throughput: spawn {spawn:.0f}/s, "
-          f"pool {pool:.0f}/s  ({pool / spawn:.1f}x)")
-EOF
+        print(f"{b['name']}: {b['launches_per_s']:.0f} launches/s")
+PY
 fi
