@@ -62,7 +62,7 @@ void LaunchShared::arrive_and_wait(std::uint32_t epoch) {
 }
 
 void LaunchShared::park(const FiberWait& w) {
-  if (*w.word != w.unchanged || poisoned_) return;
+  if (w.satisfied() || poisoned_) return;
   ASCAN_ASSERT(fibers_ != nullptr, "wait outside a running launch");
   fibers_->park(w);
 }

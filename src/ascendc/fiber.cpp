@@ -101,8 +101,8 @@ void SubcoreFibers::run(LaunchShared& shared,
     bool resumed = false;
     for (std::size_t s = 0; s < n; ++s) {
       Fiber& f = *fibers_[s];
-      const bool waiting = f.parked && *f.wait.word == f.wait.unchanged &&
-                           !shared.poisoned();
+      const bool waiting =
+          f.parked && !f.wait.satisfied() && !shared.poisoned();
       if (f.done || waiting) continue;
       resume(f);
       resumed = true;

@@ -35,6 +35,8 @@ struct FiberWait {
   std::uint32_t unchanged = 0;
   const char* flag = nullptr;  ///< flag-array name; nullptr for SyncAll
   std::size_t index = 0;       ///< flag index, or SyncAll epoch
+
+  bool satisfied() const { return *word != unchanged; }
 };
 
 /// Owns the fiber records and their stacks, pooled across launches. One
