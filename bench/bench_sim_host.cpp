@@ -8,7 +8,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/ascan.hpp"
+#include "kernels/common.hpp"
 #include "kernels/copy_kernel.hpp"
 #include "kernels/mcscan.hpp"
 #include "kernels/scan_u.hpp"
@@ -118,6 +120,78 @@ static void BM_SimulateMcScan(benchmark::State& state) {
 BENCHMARK(BM_SimulateMcScan)->Arg(1 << 18)->Arg(1 << 20);
 
 // ---------------------------------------------------------------------------
+// Intrinsic layer: one instruction's functional pass plus its trace record,
+// timed inside a single launch (the launch's own cost is outside the loop).
+
+/// int8 Mmad at 128^3 against U_s (the mask scans' operand, which takes the
+/// linear-time recurrence) or against a U_s with one flipped element (the
+/// generic MAC loop).
+static void BM_MmadI8(benchmark::State& state, bool upper) {
+  const std::size_t s = 128;
+  auto b = kernels::make_upper_ones<std::int8_t>(s);
+  if (!upper) b[(s - 1) * s] = 1;
+  Rng rng(5);
+  std::vector<std::int8_t> a(s * s);
+  for (auto& v : a) v = static_cast<std::int8_t>(rng.next_below(2));
+  acc::Device dev(sim::MachineConfig::single_core());
+  acc::launch(dev, {.block_dim = 1, .mode = acc::LaunchMode::CubeOnly},
+              [&](acc::KernelContext& c) {
+                acc::TPipe pipe(c);
+                acc::TBuf a2(c, acc::TPosition::A2), b2(c, acc::TPosition::B2),
+                    co(c, acc::TPosition::CO1);
+                pipe.InitBuffer(a2, s * s);
+                pipe.InitBuffer(b2, s * s);
+                pipe.InitBuffer(co, s * s * sizeof(std::int32_t));
+                auto A = a2.Get<std::int8_t>();
+                auto B = b2.Get<std::int8_t>();
+                auto C = co.Get<std::int32_t>();
+                std::copy(a.begin(), a.end(), A.data());
+                std::copy(b.begin(), b.end(), B.data());
+                for (auto _ : state) {
+                  acc::Mmad(c, C, A, B, s, s, s, false);
+                  benchmark::DoNotOptimize(C.data());
+                }
+              });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(s * s * s));
+}
+BENCHMARK_CAPTURE(BM_MmadI8, upper, true);
+BENCHMARK_CAPTURE(BM_MmadI8, generic, false);
+
+/// GatherMask of n floats under a p=0.5 random mask.
+static void BM_GatherMask(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(9);
+  std::vector<std::int8_t> mask(n);
+  for (auto& v : mask) v = rng.bernoulli(0.5) ? 1 : 0;
+  acc::Device dev(sim::MachineConfig::single_core());
+  acc::launch(dev, {.block_dim = 1, .mode = acc::LaunchMode::VectorOnly},
+              [&](acc::KernelContext& c) {
+                acc::TPipe pipe(c);
+                acc::TBuf sb(c, acc::TPosition::VECCALC),
+                    mb(c, acc::TPosition::VECCALC),
+                    db(c, acc::TPosition::VECCALC);
+                pipe.InitBuffer(sb, n * sizeof(float));
+                pipe.InitBuffer(mb, n);
+                pipe.InitBuffer(db, n * sizeof(float));
+                auto src = sb.Get<float>();
+                auto msk = mb.Get<std::int8_t>();
+                auto dst = db.Get<float>();
+                for (std::size_t i = 0; i < n; ++i) {
+                  src[i] = static_cast<float>(i);
+                }
+                std::copy(mask.begin(), mask.end(), msk.data());
+                for (auto _ : state) {
+                  benchmark::DoNotOptimize(
+                      acc::GatherMask(c, dst, src, msk, n));
+                }
+              });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GatherMask)->Arg(8192);
+
+// ---------------------------------------------------------------------------
 // End-to-end host throughput of the Session API (see session_bench).
 
 static void BM_SessionCumsum(benchmark::State& state) {
@@ -143,7 +217,21 @@ static void BM_SessionSort(benchmark::State& state) {
                                          std::move(r.indices)}};
   });
 }
-BENCHMARK(BM_SessionSort)->Arg(1 << 11)->UseRealTime();
+BENCHMARK(BM_SessionSort)->Arg(1 << 11)->Arg(1 << 20)->UseRealTime();
+
+/// Compress (masked_select) under a p=0.5 mask, the Fig. 10 operator.
+static void BM_SessionMaskedSelect(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto x = bench_workload(n);
+  std::vector<std::int8_t> mask(n);
+  Rng rng(13);
+  for (auto& v : mask) v = rng.bernoulli(0.5) ? 1 : 0;
+  session_bench(state, n, [&](ascan::Session& s) {
+    auto r = s.masked_select(x, mask);
+    return std::pair{r.report, std::move(r.values)};
+  });
+}
+BENCHMARK(BM_SessionMaskedSelect)->Arg(1 << 22)->UseRealTime();
 
 static void BM_SessionTopPSampleBatch(benchmark::State& state) {
   const std::size_t batch = 4;
@@ -164,27 +252,39 @@ static void BM_SessionTopPSampleBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionTopPSampleBatch)->Arg(512)->UseRealTime();
 
-// The purest repeated-launch workload: one full-width kernel relaunched on
-// device-resident buffers. This isolates per-launch host overhead (60
-// sub-core fibers + context setup + replay), and with the timing cache on,
-// what is left once the replay is skipped.
-static void BM_RepeatedLaunch(benchmark::State& state, bool timing_cache) {
-  const std::size_t n = 8192;
+// Repeated launches on device-resident buffers, with the timing cache off
+// (every launch replays its trace through the DES) and on (a stable launch
+// shape skips the replay). The 8K copy is the purest per-launch overhead:
+// 60 sub-core fibers, context setup and a short replay. The 2^20 fp16
+// MCScan is a large launch whose replay is a bigger share of its cost.
+static void BM_RepeatedLaunch(benchmark::State& state, bool mcscan,
+                              bool timing_cache) {
+  const std::size_t n = mcscan ? std::size_t{1} << 20 : 8192;
   acc::Device dev(cfg(timing_cache));
-  auto x = dev.alloc<half>(n, half(2.0f));
+  auto x = dev.upload(bench_workload(n));
   auto y = dev.alloc<half>(n);
+  auto yf = dev.alloc<float>(n);
   std::int64_t launches = 0;
   for (auto _ : state) {
-    const auto r = kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), n, 0);
+    const auto r =
+        mcscan
+            ? kernels::mcscan<half, float>(dev, x.tensor(), yf.tensor(), n, {})
+            : kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), n, 0);
     launches += r.launches;
     benchmark::DoNotOptimize(r.time_s);
   }
   state.counters["launches_per_s"] = benchmark::Counter(
       static_cast<double>(launches), benchmark::Counter::kIsRate);
+  state.counters["cache_hits"] =
+      static_cast<double>(dev.engine().cache_stats().hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, replayed, false)->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, cached, true)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, replayed, false, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, cached, false, true)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_replayed, true, false)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_cached, true, true)
+    ->UseRealTime();
 
 BENCHMARK_MAIN();

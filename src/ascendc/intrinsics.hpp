@@ -11,6 +11,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -55,62 +57,103 @@ struct lane<half> {
   static half narrow(float w) { return half(w); }
 };
 
-/// Structure of a float16 Mmad B operand. The paper's scan kernels only
-/// ever multiply data against the constant matrices U_s (upper-triangular
-/// ones: A@U is a row-wise inclusive prefix sum) and 1_s (all ones: A@1 is
-/// a row-sum broadcast), so the emulation recognises those two shapes and
-/// replaces the O(M*K*N) MAC loop with the O(M*N) recurrence that performs
-/// the *same* float additions in the same order — results stay bit-exact.
+/// Structure of an Mmad B operand. The paper's kernels only ever multiply
+/// data against the constant matrices U_s (upper-triangular ones: A@U is a
+/// row-wise inclusive prefix sum) and 1_s (all ones: A@1 is a row-sum
+/// broadcast): float16 tiles in the value scans, int8 tiles in the mask
+/// scans under split, compress, radix sort and top-p. The emulation
+/// recognises those two shapes and replaces the O(M*K*N) MAC loop with an
+/// O(M*N) recurrence whose results are bit-exact (see Mmad).
 enum class MmadBKind { Generic, UpperOnes, AllOnes };
 
-inline MmadBKind classify_mmad_b(const half* bd, std::size_t K,
-                                 std::size_t N) {
+/// Classifies B by its bits: 1 is 0x3c00 as float16 and 0x01 as int8, 0 is
+/// all-zero bits (so a float16 -0.0 entry makes B generic).
+template <typename In>
+MmadBKind classify_mmad_b(const In* bd, std::size_t K, std::size_t N) {
   if (K != N) return MmadBKind::Generic;
-  thread_local std::vector<std::uint16_t> ones_row;
-  if (ones_row.size() < N) ones_row.assign(N, 0x3c00u);  // half(1.0)
-  thread_local std::vector<std::uint16_t> zero_row;
-  if (zero_row.size() < N) zero_row.assign(N, 0u);
-  const auto* bits = reinterpret_cast<const std::uint16_t*>(bd);
+  thread_local std::vector<In> ones_row;
+  if (ones_row.size() < N) ones_row.assign(N, In(1));
+  thread_local std::vector<In> zero_row;
+  if (zero_row.size() < N) zero_row.assign(N, In{});
   // Probe one interior element to pick the candidate shape cheaply, then
   // verify row by row with memcmp (vectorised by libc); any mismatch bails
   // to the generic path immediately.
-  const bool maybe_upper = N > 1 && bits[N] == 0u;  // B[1][0]
+  const bool maybe_upper =
+      N > 1 && std::memcmp(bd + N, zero_row.data(), sizeof(In)) == 0;  // B[1][0]
   if (maybe_upper) {
     for (std::size_t k = 0; k < K; ++k) {
-      const std::uint16_t* row = bits + k * N;
-      if (std::memcmp(row, zero_row.data(), k * sizeof(std::uint16_t)) != 0 ||
-          std::memcmp(row + k, ones_row.data(),
-                      (N - k) * sizeof(std::uint16_t)) != 0) {
+      const In* row = bd + k * N;
+      if (std::memcmp(row, zero_row.data(), k * sizeof(In)) != 0 ||
+          std::memcmp(row + k, ones_row.data(), (N - k) * sizeof(In)) != 0) {
         return MmadBKind::Generic;
       }
     }
     return MmadBKind::UpperOnes;
   }
   for (std::size_t k = 0; k < K; ++k) {
-    if (std::memcmp(bits + k * N, ones_row.data(),
-                    N * sizeof(std::uint16_t)) != 0) {
+    if (std::memcmp(bd + k * N, ones_row.data(), N * sizeof(In)) != 0) {
       return MmadBKind::Generic;
     }
   }
   return MmadBKind::AllOnes;
 }
 
-/// c[j] += a * b[j], 8 float lanes at a time. Deliberately multiply-then-add
-/// (no FMA): each lane rounds twice, matching the scalar expression
-/// `c[j] += a * b[j]` bit for bit.
-inline void axpy_row(float* c, float a, const float* b, std::size_t n) {
+/// dst[i] = src[i] widened to the cube accumulator type, exactly: float16
+/// through F16C, int8 by sign extension, 8 lanes at a time.
+template <typename In, typename Acc>
+void widen_n(const In* src, Acc* dst, std::size_t n) {
+  if constexpr (std::is_same_v<In, half>) {
+    half_to_float_n(src, dst, n);
+  } else {
+    std::size_t i = 0;
+#if defined(ASCEND_HALF_HW) && defined(__AVX2__)
+    for (const std::size_t n8 = n - n % 8; i < n8; i += 8) {
+      const __m128i b =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + i));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                          _mm256_cvtepi8_epi32(b));
+    }
+#endif
+    for (; i < n; ++i) dst[i] = static_cast<Acc>(src[i]);
+  }
+}
+
+/// c[j] += a * b[j]. Deliberately multiply-then-add (no FMA): each float
+/// lane rounds twice, matching the scalar expression `c[j] += a * b[j]` bit
+/// for bit, 8 lanes at a time.
+template <typename Acc>
+void axpy_row(Acc* c, Acc a, const Acc* b, std::size_t n) {
   std::size_t j = 0;
 #if defined(ASCEND_HALF_HW) && defined(__AVX2__)
-  const __m256 av = _mm256_set1_ps(a);
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(b + j));
-    _mm256_storeu_ps(c + j, _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
+  if constexpr (std::is_same_v<Acc, float>) {
+    const __m256 av = _mm256_set1_ps(a);
+    for (const std::size_t n8 = n - n % 8; j < n8; j += 8) {
+      const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(b + j));
+      _mm256_storeu_ps(c + j, _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
+    }
   }
 #endif
   for (; j < n; ++j) {
-    const float prod = a * b[j];
+    const Acc prod = a * b[j];
     c[j] = c[j] + prod;
   }
+}
+
+/// Number of non-zero bytes in m[0, n), 32 lanes at a time.
+inline std::size_t count_nonzero(const std::int8_t* m, std::size_t n) {
+  std::size_t cnt = 0;
+  std::size_t i = 0;
+#if defined(ASCEND_HALF_HW) && defined(__AVX2__)
+  for (const std::size_t n32 = n - n % 32; i < n32; i += 32) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + i));
+    const auto zeros = static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_setzero_si256())));
+    cnt += 32 - static_cast<std::size_t>(std::popcount(zeros));
+  }
+#endif
+  for (; i < n; ++i) cnt += m[i] != 0;
+  return cnt;
 }
 
 }  // namespace detail
@@ -218,6 +261,8 @@ template <typename In, typename Acc>
 void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
           const LocalTensor<In>& a, const LocalTensor<In>& b, std::size_t M,
           std::size_t K, std::size_t N, bool accumulate) {
+  static_assert(std::is_same_v<In, half> || std::is_same_v<In, std::int8_t>,
+                "the cube unit multiplies float16 or int8 operands");
   static_assert(std::is_same_v<Acc, cube_accum_t<In>>,
                 "Mmad accumulator type must match the cube unit's");
   ASCAN_CHECK(ctx.is_cube(), "Mmad runs on the cube core");
@@ -227,85 +272,82 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   ASCAN_CHECK(M * K <= a.size() && K * N <= b.size() && M * N <= c.size(),
               "Mmad shape exceeds operand tiles");
 
+  // Widen the A tile once instead of converting elements inside the MAC
+  // loop. Float arithmetic then runs as pure mul+add, exactly the per-lane
+  // operations of the scalar path (no FMA contraction anywhere); integer
+  // sums are exact in any order. Either way results stay bit-identical.
   Acc* cd = c.data();
-  const In* ad = a.data();
-  const In* bd = b.data();
-  if (!accumulate) std::fill(cd, cd + M * N, Acc{});
-  if constexpr (std::is_same_v<In, half>) {
-    // Widen the A tile to float once (8 lanes per F16C instruction) instead
-    // of converting elements inside the MAC loop; arithmetic then runs as
-    // pure float mul+add, exactly the per-lane operations of the scalar
-    // path (no FMA contraction anywhere), so results stay bit-identical.
-    thread_local std::vector<float> a_wide, b_wide;
-    a_wide.resize(M * K);
-    half_to_float_n(ad, a_wide.data(), M * K);
-    const detail::MmadBKind bkind =
-        accumulate ? detail::MmadBKind::Generic : detail::classify_mmad_b(bd, K, N);
-    if (bkind == detail::MmadBKind::UpperOnes) {
-      // C[i][j] = sum_{k<=j} A[i][k]: the generic loop adds A[i][k]*1 to
-      // crow[j] in increasing k, so a left-to-right running sum performs
-      // the identical addition sequence. (The generic loop's `av == 0` skip
-      // is a no-op here: run += ±0.0f never changes a partial sum that can
-      // only be +0.0 when zero, so no branch is needed.) Four rows advance
-      // per iteration — their sum chains are independent, which hides the
-      // float-add latency the single serial chain would expose.
-      std::size_t i = 0;
-      for (; i + 4 <= M; i += 4) {
-        const float* r0 = a_wide.data() + i * K;
-        const float* r1 = r0 + K;
-        const float* r2 = r1 + K;
-        const float* r3 = r2 + K;
-        float* c0 = cd + i * N;
-        float* c1 = c0 + N;
-        float* c2 = c1 + N;
-        float* c3 = c2 + N;
-        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-        for (std::size_t j = 0; j < N; ++j) {
-          s0 += r0[j]; c0[j] = s0;
-          s1 += r1[j]; c1[j] = s1;
-          s2 += r2[j]; c2[j] = s2;
-          s3 += r3[j]; c3[j] = s3;
-        }
+  thread_local std::vector<Acc> a_wide, b_wide;
+  a_wide.resize(M * K);
+  detail::widen_n(a.data(), a_wide.data(), M * K);
+  detail::MmadBKind bkind = accumulate ? detail::MmadBKind::Generic
+                                       : detail::classify_mmad_b(b.data(), K, N);
+  if (bkind == detail::MmadBKind::UpperOnes) {
+    // C[i][j] = sum_{k<=j} A[i][k]: the generic loop adds A[i][k]*1 to
+    // crow[j] in increasing k, so a left-to-right running sum performs
+    // the identical addition sequence. (The generic loop's `av == 0` skip
+    // is a no-op here: run += ±0.0f never changes a partial sum that can
+    // only be +0.0 when zero, so no branch is needed.) Four rows advance
+    // per iteration — their sum chains are independent, which hides the
+    // add latency the single serial chain would expose.
+    std::size_t i = 0;
+    for (const std::size_t m4 = M - M % 4; i < m4; i += 4) {
+      const Acc* r0 = a_wide.data() + i * K;
+      const Acc* r1 = r0 + K;
+      const Acc* r2 = r1 + K;
+      const Acc* r3 = r2 + K;
+      Acc* c0 = cd + i * N;
+      Acc* c1 = c0 + N;
+      Acc* c2 = c1 + N;
+      Acc* c3 = c2 + N;
+      Acc s0{}, s1{}, s2{}, s3{};
+      for (std::size_t j = 0; j < N; ++j) {
+        s0 += r0[j]; c0[j] = s0;
+        s1 += r1[j]; c1[j] = s1;
+        s2 += r2[j]; c2[j] = s2;
+        s3 += r3[j]; c3[j] = s3;
       }
-      for (; i < M; ++i) {
-        const float* arow = a_wide.data() + i * K;
-        float* crow = cd + i * N;
-        float run = 0.0f;
-        for (std::size_t j = 0; j < N; ++j) {
-          run += arow[j];
-          crow[j] = run;
-        }
+    }
+    for (; i < M; ++i) {
+      const Acc* arow = a_wide.data() + i * K;
+      Acc* crow = cd + i * N;
+      Acc run{};
+      for (std::size_t j = 0; j < N; ++j) {
+        run += arow[j];
+        crow[j] = run;
       }
-    } else if (bkind == detail::MmadBKind::AllOnes) {
-      // C[i][j] = sum_k A[i][k] for every j, accumulated in increasing k.
-      for (std::size_t i = 0; i < M; ++i) {
-        const float* arow = a_wide.data() + i * K;
-        float run = 0.0f;
-        for (std::size_t k = 0; k < K; ++k) run += arow[k];
-        std::fill(cd + i * N, cd + i * N + N, run);
-      }
-    } else {
-      b_wide.resize(K * N);
-      half_to_float_n(bd, b_wide.data(), K * N);
-      for (std::size_t i = 0; i < M; ++i) {
-        float* crow = cd + i * N;
-        for (std::size_t k = 0; k < K; ++k) {
-          const float av = a_wide[i * K + k];
-          if (av == 0.0f) continue;  // fast path for sparse constant operands
-          detail::axpy_row(crow, av, b_wide.data() + k * N, N);
+    }
+    if constexpr (std::is_same_v<Acc, float>) {
+      // An infinite or NaN A[i][k] makes the generic loop add inf*0 = NaN
+      // into every column j < k, which the running sum skips. Such a row's
+      // sum ends non-finite (float16 inputs cannot overflow a float sum of
+      // N terms), so one check per row finds it; redo that tile generically.
+      for (std::size_t r = 0; r < M; ++r) {
+        if (!std::isfinite(cd[r * N + N - 1])) {
+          bkind = detail::MmadBKind::Generic;
+          break;
         }
       }
     }
-  } else {
+  } else if (bkind == detail::MmadBKind::AllOnes) {
+    // C[i][j] = sum_k A[i][k] for every j, accumulated in increasing k.
     for (std::size_t i = 0; i < M; ++i) {
+      const Acc* arow = a_wide.data() + i * K;
+      Acc run{};
+      for (std::size_t k = 0; k < K; ++k) run += arow[k];
+      std::fill(cd + i * N, cd + i * N + N, run);
+    }
+  }
+  if (bkind == detail::MmadBKind::Generic) {
+    if (!accumulate) std::fill(cd, cd + M * N, Acc{});
+    b_wide.resize(K * N);
+    detail::widen_n(b.data(), b_wide.data(), K * N);
+    for (std::size_t i = 0; i < M; ++i) {
+      Acc* crow = cd + i * N;
       for (std::size_t k = 0; k < K; ++k) {
-        const Acc av = static_cast<Acc>(static_cast<float>(ad[i * K + k]));
+        const Acc av = a_wide[i * K + k];
         if (av == Acc{}) continue;  // fast path for sparse constant operands
-        const In* brow = bd + k * N;
-        Acc* crow = cd + i * N;
-        for (std::size_t j = 0; j < N; ++j) {
-          crow[j] += av * static_cast<Acc>(static_cast<float>(brow[j]));
-        }
+        detail::axpy_row(crow, av, b_wide.data() + k * N, N);
       }
     }
   }
@@ -727,19 +769,28 @@ void Select(KernelContext& ctx, const LocalTensor<T>& dst,
 /// Compacts src elements whose mask byte is non-zero into dst (stable).
 /// Returns the gathered count; reading the count goes through a scalar
 /// register, so it serialises the sub-core like hardware GatherMask's
-/// rsvdCnt read does.
+/// rsvdCnt read does. dst elements at and past the count keep their values.
 template <typename T>
 std::size_t GatherMask(KernelContext& ctx, const LocalTensor<T>& dst,
                        const LocalTensor<T>& src,
                        const LocalTensor<std::int8_t>& mask, std::size_t n) {
   ASCAN_CHECK(ctx.is_vector(), "GatherMask runs on a vector core");
   ASCAN_CHECK(n <= src.size() && n <= mask.size(), "GatherMask overflow");
-  std::size_t cnt = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask.data()[i] != 0) {
-      ASCAN_CHECK(cnt < dst.size(), "GatherMask dst overflow");
-      dst.data()[cnt++] = src.data()[i];
-    }
+  const std::int8_t* m = mask.data();
+  const std::size_t cnt = detail::count_nonzero(m, n);
+  ASCAN_CHECK(cnt <= dst.size(), "GatherMask dst overflow");
+  // Branchless compaction: every element is stored at the write cursor and
+  // only selected ones advance it. Stopping at the last selected element
+  // keeps each store below cnt, so nothing at or past the count (or past
+  // dst's end) is written. Stores never overtake reads, so dst may alias src.
+  std::size_t end = cnt == 0 ? 0 : n;
+  while (end > 0 && m[end - 1] == 0) --end;
+  T* d = dst.data();
+  const T* s = src.data();
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < end; ++i) {
+    d[w] = s[i];
+    w += m[i] != 0;
   }
   ctx.record_compute(sim::EngineKind::Compute,
                      detail::gather_cycles(ctx.cfg(), n * sizeof(T)),

@@ -208,13 +208,17 @@ static_assert(sizeof(half) == 2, "half must be 2 bytes");
 // half<->float for whole tiles at a time; converting 8 lanes per instruction
 // (VCVTPH2PS / VCVTPS2PH) instead of one keeps the emulation off the
 // conversion bottleneck. Bit-identical to converting element by element.
+// The 8-lane loops run to n rounded down to a multiple of 8 rather than
+// testing `i + 8 <= n`: that unsigned sum may wrap, so the compiler cannot
+// bound the loop's exit index by n, and in inlined copies with a constant n
+// it analysed a scalar tail whose trip count n - i underflows to ~2^63.
 
 /// dst[i] = float(src[i]) for i in [0, n).
 inline void half_to_float_n(const half* src, float* dst,
                             std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(ASCEND_HALF_HW) && defined(__AVX2__)
-  for (; i + 8 <= n; i += 8) {
+  for (const std::size_t n8 = n - n % 8; i < n8; i += 8) {
     const __m128i h =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
     _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
@@ -228,7 +232,7 @@ inline void float_to_half_n(const float* src, half* dst,
                             std::size_t n) noexcept {
   std::size_t i = 0;
 #if defined(ASCEND_HALF_HW) && defined(__AVX2__)
-  for (; i + 8 <= n; i += 8) {
+  for (const std::size_t n8 = n - n % 8; i < n8; i += 8) {
     const __m128i h = _mm256_cvtps_ph(
         _mm256_loadu_ps(src + i),
         _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);

@@ -1,11 +1,13 @@
 // Functional tests for the intrinsic instruction set (vector, cube, copy).
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ascendc/ascendc.hpp"
+#include "common/rng.hpp"
 
 namespace ascend::acc {
 namespace {
@@ -207,6 +209,116 @@ TEST(Intrinsics, GatherMaskCompacts) {
     EXPECT_EQ(dst[0], 0.0f);
     EXPECT_EQ(dst[1], 30.0f);
     EXPECT_EQ(dst[2], 60.0f);
+  });
+}
+
+// Runs GatherMask over `mask` on float src[i] = i into a `dst_len`-element
+// dst prefilled with -1. Checks the count, the stable compaction, and that
+// every dst element at and past the count keeps its prefill, as does a
+// guard buffer allocated after dst.
+void check_gather_mask(const std::vector<std::int8_t>& mask,
+                       std::size_t dst_len) {
+  std::vector<float> want;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] != 0) want.push_back(static_cast<float>(i));
+  }
+  on_vector_core([&](KernelContext& c) {
+    const std::size_t n = mask.size();
+    TPipe pipe(c);
+    TBuf a(c, TPosition::VECCALC), m(c, TPosition::VECCALC),
+        d(c, TPosition::VECCALC), g(c, TPosition::VECCALC);
+    pipe.InitBuffer(a, n * sizeof(float));
+    pipe.InitBuffer(m, n);
+    pipe.InitBuffer(d, dst_len * sizeof(float));
+    pipe.InitBuffer(g, 8 * sizeof(float));
+    auto src = a.Get<float>();
+    auto msk = m.Get<std::int8_t>();
+    auto dst = d.Get<float>();
+    auto guard = g.Get<float>();
+    ASSERT_EQ(dst.size(), dst_len);
+    for (std::size_t i = 0; i < n; ++i) {
+      src[i] = static_cast<float>(i);
+      msk[i] = mask[i];
+    }
+    for (std::size_t i = 0; i < dst_len; ++i) dst[i] = -1.0f;
+    for (std::size_t i = 0; i < guard.size(); ++i) guard[i] = -2.0f;
+    const std::size_t cnt = GatherMask(c, dst, src, msk, n);
+    ASSERT_EQ(cnt, want.size());
+    for (std::size_t i = 0; i < cnt; ++i) EXPECT_EQ(dst[i], want[i]) << i;
+    for (std::size_t i = cnt; i < dst_len; ++i) EXPECT_EQ(dst[i], -1.0f) << i;
+    for (std::size_t i = 0; i < guard.size(); ++i) EXPECT_EQ(guard[i], -2.0f);
+  });
+}
+
+TEST(Intrinsics, GatherMaskAllZeroAllOneAndRandom) {
+  const std::size_t n = 517;  // not a multiple of any SIMD width
+  check_gather_mask(std::vector<std::int8_t>(n, 0), n);
+  check_gather_mask(std::vector<std::int8_t>(n, 1), n);
+  Rng rng(11);
+  std::vector<std::int8_t> mask(n);
+  for (auto& v : mask) v = rng.bernoulli(0.5) ? 1 : 0;
+  check_gather_mask(mask, n);
+  // Leading and trailing unselected runs.
+  mask.assign(n, 0);
+  mask[100] = mask[101] = mask[300] = 1;
+  check_gather_mask(mask, n);
+}
+
+TEST(Intrinsics, GatherMaskSelectsAnyNonzeroByte) {
+  std::vector<std::int8_t> mask(64, 0);
+  for (std::size_t i = 0; i < mask.size(); i += 3) {
+    mask[i] = static_cast<std::int8_t>(i % 2 == 0 ? -1 : 2);
+  }
+  mask[63] = std::numeric_limits<std::int8_t>::min();
+  check_gather_mask(mask, 64);
+}
+
+TEST(Intrinsics, GatherMaskShortDstHoldsFittingCount) {
+  // dst shorter than n: fine while the selected count fits, including a
+  // count that fills dst exactly.
+  std::vector<std::int8_t> mask(256, 0);
+  for (std::size_t i = 0; i < mask.size(); i += 8) mask[i] = 1;  // 32 picks
+  check_gather_mask(mask, 40);
+  check_gather_mask(mask, 32);
+}
+
+TEST(Intrinsics, GatherMaskInPlace) {
+  // dst aliasing src compacts the selected prefix and leaves the tail.
+  on_vector_core([](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf a(c, TPosition::VECCALC), m(c, TPosition::VECCALC);
+    pipe.InitBuffer(a, 64 * sizeof(float));
+    pipe.InitBuffer(m, 64);
+    auto x = a.Get<float>();
+    auto mask = m.Get<std::int8_t>();
+    for (std::size_t i = 0; i < 64; ++i) {
+      x[i] = static_cast<float>(i);
+      mask[i] = i % 4 == 1 ? 1 : 0;
+    }
+    const std::size_t cnt = GatherMask(c, x, x, mask, 64);
+    ASSERT_EQ(cnt, 16u);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      EXPECT_EQ(x[i], static_cast<float>(4 * i + 1)) << i;
+    }
+    for (std::size_t i = cnt; i < 64; ++i) {
+      EXPECT_EQ(x[i], static_cast<float>(i)) << i;
+    }
+  });
+}
+
+TEST(Intrinsics, GatherMaskDstOverflowThrows) {
+  on_vector_core([](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf a(c, TPosition::VECCALC), m(c, TPosition::VECCALC),
+        d(c, TPosition::VECCALC);
+    pipe.InitBuffer(a, 64 * sizeof(float));
+    pipe.InitBuffer(m, 64);
+    pipe.InitBuffer(d, 8 * sizeof(float));
+    auto src = a.Get<float>();
+    auto mask = m.Get<std::int8_t>();
+    auto dst = d.Get<float>();
+    for (std::size_t i = 0; i < 64; ++i) mask[i] = i < 9 ? 1 : 0;
+    EXPECT_THROW(GatherMask(c, dst, src, mask, 64), Error);
   });
 }
 

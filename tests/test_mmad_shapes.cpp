@@ -2,6 +2,11 @@
 // padding alignment, cost monotonicity, and the constant matrices of §4.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "ascendc/ascendc.hpp"
 #include "common/rng.hpp"
 #include "kernels/common.hpp"
@@ -180,6 +185,115 @@ TEST(MmadShapes, Int8KAlignmentIs32) {
   };
   EXPECT_NEAR(time_of(17), time_of(32), 1e-12);
   EXPECT_GT(time_of(33), time_of(32));
+}
+
+// --- int8 Mmad against the plain definition --------------------------------
+// The emulation recognises B = U_s and B = 1_s and computes those products
+// with a linear-time recurrence; every other operand, and any accumulating
+// call, takes the MAC loop. Each path must equal the naive triple loop.
+
+enum class BShape { UpperOnes, AllOnes, UpperOnesFlipped };
+
+std::vector<std::int8_t> int8_b(BShape shape, std::size_t s) {
+  if (shape == BShape::AllOnes) return kernels::make_all_ones<std::int8_t>(s);
+  auto b = kernels::make_upper_ones<std::int8_t>(s);
+  // One zero below the diagonal turned to 1: no longer U_s.
+  if (shape == BShape::UpperOnesFlipped) b[(s - 1) * s + s / 2] = 1;
+  return b;
+}
+
+void check_int8_mmad(std::size_t s, BShape shape, bool accumulate) {
+  Rng rng(s * 7 + static_cast<std::size_t>(shape) * 3 + accumulate);
+  std::vector<std::int8_t> a(s * s);
+  for (auto& v : a) v = static_cast<std::int8_t>(rng.next_below(256) - 128);
+  a[0] = std::numeric_limits<std::int8_t>::min();
+  a[s * s - 1] = std::numeric_limits<std::int8_t>::min();
+  a[1] = std::numeric_limits<std::int8_t>::max();
+  const auto b = int8_b(shape, s);
+  std::vector<std::int32_t> c0(s * s, 0);
+  if (accumulate) {
+    for (auto& v : c0) v = static_cast<std::int32_t>(rng.next_below(2001)) - 1000;
+  }
+  std::vector<std::int32_t> want = c0;
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) {
+      for (std::size_t k = 0; k < s; ++k) {
+        want[i * s + j] += std::int32_t{a[i * s + k]} * std::int32_t{b[k * s + j]};
+      }
+    }
+  }
+  on_cube([&](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf a1(c, TPosition::A1), a2(c, TPosition::A2), b2(c, TPosition::B2),
+        co(c, TPosition::CO1);
+    pipe.InitBuffer(a1, s * s);
+    pipe.InitBuffer(a2, s * s);
+    pipe.InitBuffer(b2, s * s);
+    pipe.InitBuffer(co, s * s * sizeof(std::int32_t));
+    auto stage = a1.Get<std::int8_t>();
+    auto A = a2.Get<std::int8_t>();
+    auto B = b2.Get<std::int8_t>();
+    auto C = co.Get<std::int32_t>();
+    for (std::size_t i = 0; i < s * s; ++i) stage[i] = a[i];
+    LoadData(c, A, stage, s * s);
+    for (std::size_t i = 0; i < s * s; ++i) stage[i] = b[i];
+    LoadData(c, B, stage, s * s);
+    for (std::size_t i = 0; i < s * s; ++i) C[i] = c0[i];
+    Mmad(c, C, A, B, s, s, s, accumulate);
+    for (std::size_t i = 0; i < s * s; ++i) {
+      ASSERT_EQ(C[i], want[i]) << "s=" << s << " elem " << i;
+    }
+  });
+}
+
+TEST(MmadInt8, MatchesNaiveTripleLoop) {
+  for (const std::size_t s : {16, 32, 64, 128}) {
+    for (const BShape shape :
+         {BShape::UpperOnes, BShape::AllOnes, BShape::UpperOnesFlipped}) {
+      for (const bool accumulate : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "s=" << s << " shape=" << static_cast<int>(shape)
+                     << " accumulate=" << accumulate);
+        check_int8_mmad(s, shape, accumulate);
+      }
+    }
+  }
+}
+
+TEST(MmadShapes, UpperOnesWithInfinityMatchesMacLoop) {
+  // An infinite A element meets B's zeros below the diagonal: the MAC loop
+  // yields inf*0 = NaN in the columns before it. The recognised U_s
+  // operand must give the same result as the plain definition.
+  on_cube([](KernelContext& c) {
+    CubeBufs b(c);
+    const std::size_t s = 16;
+    for (std::size_t i = 0; i < s * s; ++i) {
+      b.stage[i] = half(static_cast<float>(i % 5));
+    }
+    b.stage[3 * s + 9] = half::infinity();
+    LoadData(c, b.A, b.stage, s * s);
+    const auto upper = kernels::make_upper_ones<half>(s);
+    for (std::size_t i = 0; i < s * s; ++i) b.stage[i] = upper[i];
+    LoadData(c, b.B, b.stage, s * s);
+    Mmad(c, b.C, b.A, b.B, s, s, s, false);
+    for (std::size_t i = 0; i < s; ++i) {
+      for (std::size_t j = 0; j < s; ++j) {
+        float want = 0.0f;
+        for (std::size_t k = 0; k < s; ++k) {
+          const float av = i == 3 && k == 9
+                               ? std::numeric_limits<float>::infinity()
+                               : static_cast<float>((i * s + k) % 5);
+          want += av * (k <= j ? 1.0f : 0.0f);
+        }
+        const float got = b.C[i * s + j];
+        if (std::isnan(want)) {
+          EXPECT_TRUE(std::isnan(got)) << i << "," << j;
+        } else {
+          EXPECT_EQ(got, want) << i << "," << j;
+        }
+      }
+    }
+  });
 }
 
 }  // namespace
