@@ -49,6 +49,7 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -161,8 +162,10 @@ struct DriveResult {
   vecref::VerifyStats verify;
 };
 
-DriveResult drive(const std::function<std::future<Response>(Request)>& submit,
-                  std::size_t total, std::uint64_t seed) {
+/// `submit` receives the request's index i in [0, total) with the request.
+DriveResult drive(
+    const std::function<std::future<Response>(std::size_t, Request)>& submit,
+    std::size_t total, std::uint64_t seed) {
   constexpr int kSubmitters = 4;
   std::vector<std::future<Response>> futs(total);
   std::vector<std::vector<ascan::half>> inputs(total);
@@ -178,7 +181,7 @@ DriveResult drive(const std::function<std::future<Response>(Request)>& submit,
         const std::size_t tile = (i % 2 != 0) ? 64 : 128;
         inputs[i] = bit_row(rng, n);
         futs[i] = submit(
-            Request::cumsum(inputs[i], tile, false, Priority::Bulk));
+            i, Request::cumsum(inputs[i], tile, false, Priority::Bulk));
       }
     });
   }
@@ -211,9 +214,9 @@ CapacityResult finish_capacity(std::string name, DriveResult d) {
   out.verify = d.verify;
   const auto& rs = d.responses;
   out.devices = device_sim(rs);
-  for (const auto& [dev, d] : out.devices) {
-    out.completed += d.served;
-    out.busiest_sim_s = std::max(out.busiest_sim_s, d.busy_s);
+  for (const auto& [dev, sim] : out.devices) {
+    out.completed += sim.served;
+    out.busiest_sim_s = std::max(out.busiest_sim_s, sim.busy_s);
   }
   out.wall_rps =
       d.wall_s > 0 ? static_cast<double>(out.completed) / d.wall_s : 0;
@@ -228,29 +231,37 @@ CapacityResult run_capacity_single(const BatchPolicy& policy,
                                    std::size_t total) {
   Engine engine({.policy = policy, .max_queue = 4 * total});
   auto d = drive(
-      [&](Request r) { return engine.submit(std::move(r)); }, total, 100);
+      [&](std::size_t, Request r) { return engine.submit(std::move(r)); },
+      total, 100);
   engine.shutdown(ShutdownMode::Drain);
   auto out = finish_capacity("single_device", std::move(d));
   out.shards.push_back(engine.metrics());
   return out;
 }
 
-/// The monolithic control for the cluster row: the same four devices, but
-/// served by ONE engine through one shared submission queue — the
-/// configuration whose global host front end made the original cluster row
-/// lose to a single device. Cluster-vs-this isolates what sharding the
-/// front end (placement + per-device queues + stealing) is worth at equal
-/// host parallelism; a cluster row below this one means the cluster front
-/// end's own overhead regressed.
-CapacityResult run_capacity_fleet_shared(const BatchPolicy& policy,
-                                         std::size_t total) {
-  Engine engine(
-      {.policy = policy, .max_queue = 4 * total, .num_workers = 4});
+/// The front-end-free control for the cluster row: the same four devices
+/// as four standalone engines, request i going to engine i mod 4 from the
+/// same four submitters — equal host thread count, no placement, no
+/// stealing, no cluster admission. Cluster-vs-this isolates what the
+/// cluster front end costs at equal host parallelism; a cluster row more
+/// than 10% below this one means the front end's own overhead regressed.
+CapacityResult run_capacity_fleet_round_robin(const BatchPolicy& policy,
+                                              std::size_t total) {
+  constexpr int kDevices = 4;
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (int dev = 0; dev < kDevices; ++dev) {
+    engines.push_back(std::make_unique<Engine>(EngineOptions{
+        .policy = policy, .max_queue = 4 * total, .device_id = dev}));
+  }
   auto d = drive(
-      [&](Request r) { return engine.submit(std::move(r)); }, total, 100);
-  engine.shutdown(ShutdownMode::Drain);
-  auto out = finish_capacity("fleet4_shared_queue", std::move(d));
-  out.shards.push_back(engine.metrics());
+      [&](std::size_t i, Request r) {
+        return engines[i % kDevices]->submit(std::move(r));
+      },
+      total, 100);
+  for (auto& e : engines) e->begin_shutdown(ShutdownMode::Drain);
+  for (auto& e : engines) e->finish_shutdown();
+  auto out = finish_capacity("fleet4_round_robin", std::move(d));
+  for (auto& e : engines) out.shards.push_back(e->metrics());
   return out;
 }
 
@@ -280,7 +291,8 @@ CapacityResult run_capacity_cluster(const BatchPolicy& policy,
                    .steal_poll_s = 50e-6,
                    .spill_margin = 2});
   auto d = drive(
-      [&](Request r) { return cluster.submit(std::move(r)); }, total, 100);
+      [&](std::size_t, Request r) { return cluster.submit(std::move(r)); },
+      total, 100);
   cluster.shutdown(ShutdownMode::Drain);
   auto out = finish_capacity("cluster4_stealing", std::move(d));
   out.shards = cluster.per_device_metrics();
@@ -613,7 +625,7 @@ std::string to_json(const CapacityResult& single, const CapacityResult& fleet,
   // other and the submitters, so a single device with the whole core to
   // itself can win on wall clock no matter how lean the front end is. The
   // single-device ordering is therefore asserted only when the host can
-  // actually run the fleet concurrently; the fleet4_shared_queue ordering
+  // actually run the fleet concurrently; the fleet4_round_robin ordering
   // has no such excuse (same devices, same thread count) and is asserted
   // everywhere — with a small tolerance, since both sides are wall clock.
   const bool host_parallel = host_cores >= 4 /*devices*/ + 1;
@@ -645,8 +657,8 @@ std::string to_json(const CapacityResult& single, const CapacityResult& fleet,
      << (ref_rps > 0 ? cluster.sim_capacity_rps / ref_rps : 0)
      << ",\n    \"ordering\": {\"note\": \"expected orderings: cluster sim "
         "capacity must scale (>= 3x one device); cluster wall rps must hold "
-        "within 10% of the same four devices behind one shared-queue engine "
-        "(sharded front end vs shared front end, equal host parallelism — "
+        "within 10% of the same four devices as standalone engines fed round "
+        "robin (cluster front end vs no front end, equal host parallelism — "
         "asserted at exit alongside bit_exact in full runs); and cluster "
         "wall rps must beat one device outright when the host has cores to "
         "run the fleet concurrently (annotated, not asserted, when "
@@ -657,7 +669,7 @@ std::string to_json(const CapacityResult& single, const CapacityResult& fleet,
      << (fleet.wall_rps > 0 ? cluster.wall_rps / fleet.wall_rps : 0)
      << ", \"cluster_over_single_wall_ratio\": "
      << (single.wall_rps > 0 ? cluster.wall_rps / single.wall_rps : 0)
-     << ", \"cluster_wall_holds_vs_shared_queue_fleet\": "
+     << ", \"cluster_wall_holds_vs_round_robin_fleet\": "
      << (cluster.wall_rps >= 0.90 * fleet.wall_rps ? "true" : "false")
      << ", \"cluster_wall_ge_single\": "
      << (cluster.wall_rps >= single.wall_rps ? "true" : "false")
@@ -748,8 +760,8 @@ int main(int argc, char** argv) {
   const int reps = args.quick ? 1 : 3;
   const auto single =
       best_of(reps, [&] { return run_capacity_single(policy, total); });
-  const auto fleet =
-      best_of(reps, [&] { return run_capacity_fleet_shared(policy, total); });
+  const auto fleet = best_of(
+      reps, [&] { return run_capacity_fleet_round_robin(policy, total); });
   const auto cluster =
       best_of(reps, [&] { return run_capacity_cluster(policy, total); });
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
@@ -777,20 +789,19 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(all_verify.elements),
               static_cast<unsigned long long>(all_verify.mismatches),
               all_verify.clean() ? "" : "  ** BIT-EXACTNESS BROKEN **");
-  // Sharded front end vs the same fleet behind one shared-queue engine:
+  // Cluster front end vs the same fleet fed round robin with no front end:
   // equal device fleet, equal host thread count, so this ordering holds on
-  // any host up to scheduler noise — both front ends are lock-free now, so
-  // the two rows are legitimately close, and the exit-status assert uses a
-  // 10% wall-clock band to flag only real regressions (a reintroduced
-  // global bottleneck in the cluster front end, not a bad scheduler draw).
+  // any host up to scheduler noise. The exit-status assert uses a 10%
+  // wall-clock band to flag only real regressions (a reintroduced global
+  // bottleneck in the cluster front end, not a bad scheduler draw).
   // Quick mode is a smoke run (1 rep, small corpus): numbers are printed
   // but only bit-exactness and future resolution are load-bearing.
   const bool shard_win =
       args.quick || cluster.wall_rps >= 0.90 * fleet.wall_rps;
   if (!shard_win) {
     std::printf("FAIL: cluster wall rps %.0f more than 10%% below the "
-                "shared-queue fleet's %.0f — the sharded front end lost to "
-                "the single shared-queue engine it exists to beat\n",
+                "round-robin fleet's %.0f — the cluster front end costs more "
+                "than its placement and stealing win back\n",
                 cluster.wall_rps, fleet.wall_rps);
   }
   if (cluster.wall_rps < single.wall_rps) {

@@ -108,10 +108,15 @@ SortResult stable_sort(std::span<const half> x, bool descending) {
   SortResult r;
   r.indices.resize(x.size());
   std::iota(r.indices.begin(), r.indices.end(), 0);
+  // Widen every key once; the comparator then orders exactly as float(x[i])
+  // does (so -0 ties +0 and NaN compares false), without a conversion per
+  // comparison.
+  std::vector<float> f(x.size());
+  half_to_float_n(x.data(), f.data(), x.size());
   std::stable_sort(r.indices.begin(), r.indices.end(),
                    [&](std::int32_t a, std::int32_t b) {
-                     const float fa = float(x[static_cast<std::size_t>(a)]);
-                     const float fb = float(x[static_cast<std::size_t>(b)]);
+                     const float fa = f[static_cast<std::size_t>(a)];
+                     const float fb = f[static_cast<std::size_t>(b)];
                      return descending ? fb < fa : fa < fb;
                    });
   r.values.resize(x.size());

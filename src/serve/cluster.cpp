@@ -39,7 +39,6 @@ Cluster::Cluster(ClusterOptions opt)
     eo.policy = opt_.policy;
     eo.max_queue = opt_.max_queue;
     eo.interactive_reserve = opt_.interactive_reserve;
-    eo.num_workers = opt_.workers_per_device;
     eo.machine = opt_.device_machines.empty()
                      ? opt_.machine
                      : opt_.device_machines[static_cast<std::size_t>(i)];

@@ -49,8 +49,8 @@ class WaiterGuard {
 Engine::Engine(EngineOptions opt)
     : opt_(std::move(opt)),
       metrics_(opt_.machine.hbm_bandwidth, opt_.device_id),
+      session_(opt_.machine),
       inbox_(2 * opt_.max_queue) {
-  ASCAN_CHECK(opt_.num_workers >= 1, "serve::Engine: need >= 1 worker");
   ASCAN_CHECK(opt_.policy.max_batch >= 1,
               "serve::Engine: max_batch must be >= 1");
   ASCAN_CHECK(opt_.max_queue >= 1, "serve::Engine: max_queue must be >= 1");
@@ -58,18 +58,9 @@ Engine::Engine(EngineOptions opt)
               "serve::Engine: interactive_reserve must leave bulk capacity");
   ASCAN_CHECK(!opt_.steal_source || opt_.steal_poll_s > 0,
               "serve::Engine: steal_poll_s must be positive");
-  const auto n = static_cast<std::size_t>(opt_.num_workers);
-  sessions_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Session>(opt_.machine);
-    s->set_retry_policy(opt_.retry);
-    if (opt_.fault_plan.any()) s->set_fault_plan(opt_.fault_plan);
-    sessions_.push_back(std::move(s));
-  }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
-  }
+  session_.set_retry_policy(opt_.retry);
+  if (opt_.fault_plan.any()) session_.set_fault_plan(opt_.fault_plan);
+  worker_ = std::thread([this] { worker_main(); });
 }
 
 Engine::~Engine() { shutdown(ShutdownMode::Drain); }
@@ -159,6 +150,7 @@ std::future<Response> Engine::submit(Request req) {
   // a metrics snapshot can never observe completed > admitted.
   metrics_.on_admitted();
   const bool singleton = !coalescible(p.req.kind);
+  const bool has_deadline = p.deadline != Clock::time_point::max();
   const std::size_t bucket = wake_bucket(p.req);
   if (!inbox_.try_push(std::move(p))) {
     // Unreachable while the depth ticket holds (ring is 2x the admission
@@ -168,14 +160,16 @@ std::future<Response> Engine::submit(Request req) {
     queue_.push(std::move(p));
   }
   submits_inflight_.fetch_sub(1, std::memory_order_release);
-  // Formation waiters are only nudged when this arrival plausibly
-  // completes a batch: singletons pop alone, and a coalescible request
-  // whose key bucket just reached a multiple of max_batch may have filled
-  // one. Everything else leaves a deadline-bounded sleeper asleep.
+  // The formation waiter is only nudged when this arrival may end its
+  // window early: singletons pop alone, a coalescible request whose key
+  // bucket just reached a multiple of max_batch may have filled a batch,
+  // and a deadline may fall before the window closes (the waiter
+  // recomputes its wake time). Everything else leaves the deadline-bounded
+  // sleeper asleep.
   const std::uint32_t kp =
       key_pending_[bucket].fetch_add(1, std::memory_order_relaxed) + 1;
   const std::size_t mb = std::max<std::size_t>(opt_.policy.max_batch, 1);
-  wake_workers(singleton || mb <= 1 || kp % mb == 0);
+  wake_worker(singleton || has_deadline || mb <= 1 || kp % mb == 0);
   return fut;
 }
 
@@ -184,18 +178,18 @@ void Engine::drain_inbox_locked() {
   while (inbox_.try_pop(p)) queue_.push(std::move(p));
 }
 
-void Engine::wake_workers(bool batch_ready) {
+void Engine::wake_worker(bool nudge_formation) {
   // Producer side of the Dekker-style store/load pairing: publish (the
   // ring push), fence, then read the waiter counts. Either this read sees
   // the consumer's registration (notify below) or the consumer's
   // post-registration drain sees the push — both sides missing is an SB
   // litmus outcome seq_cst forbids. Only the idle wait is unbounded, so
-  // only it gets the unconditional notify; formation waiters sleep on a
-  // deadline and are nudged solely when a batch plausibly completed.
+  // only it gets the unconditional notify; the formation wait sleeps on a
+  // deadline and is nudged only when the arrival may end it early.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const bool idle = cv_waiters_.load(std::memory_order_seq_cst) != 0;
   const bool form =
-      batch_ready && form_waiters_.load(std::memory_order_seq_cst) != 0;
+      nudge_formation && form_waiters_.load(std::memory_order_seq_cst) != 0;
   if (!idle && !form) return;
   // The empty critical section pins a racing waiter to one side of its
   // wait: it either has not re-checked yet (it will see the work) or it
@@ -218,8 +212,7 @@ void Engine::note_removed(const Pending& p) {
   key_pending_[wake_bucket(p.req)].fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool Engine::steal_and_execute(Session& session,
-                               std::unique_lock<std::mutex>& lk) {
+bool Engine::steal_and_execute(std::unique_lock<std::mutex>& lk) {
   // Lock rule: never hold this engine's mu_ while reaching into a sibling
   // device's queue — the sibling's worker may be about to do the converse.
   lk.unlock();
@@ -234,15 +227,13 @@ bool Engine::steal_and_execute(Session& session,
     return false;
   }
   metrics_.on_steal(batch.size());
-  execute_batch(session, std::move(batch), Clock::now(), GroupExec::Stolen);
+  execute_batch(std::move(batch), Clock::now(), GroupExec::Stolen);
   lk.lock();
   return true;
 }
 
-void Engine::worker_main(std::size_t idx) {
+void Engine::worker_main() {
   try {
-    Session& session = *sessions_[idx];
-
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
       // Wait for local work or a stop. Register in cv_waiters_ BEFORE
@@ -261,7 +252,7 @@ void Engine::worker_main(std::size_t idx) {
               return stopping_.load() || !queue_.empty();
             });
             if (stopping_.load() || !queue_.empty()) break;
-            steal_and_execute(session, lk);
+            steal_and_execute(lk);
             drain_inbox_locked();
           } else {
             work_cv_.wait(lk, [&] {
@@ -288,7 +279,7 @@ void Engine::worker_main(std::size_t idx) {
           drain_inbox_locked();
           if (!queue_.empty()) continue;
           if (opt_.steal_source) {
-            while (steal_and_execute(session, lk)) {
+            while (steal_and_execute(lk)) {
             }
           }
         }
@@ -297,51 +288,53 @@ void Engine::worker_main(std::size_t idx) {
       if (stopping_.load() && stop_mode_ == ShutdownMode::Cancel) break;
 
       // Dynamic batching: hold the launch until a full batch is ready or
-      // the oldest request's wait deadline expires. Shutdown (drain mode)
-      // flushes immediately. A queued SLO deadline earlier than the
-      // formation deadline caps the hold — batching slack must never be
-      // the reason a deadline is missed (an already-late deadline makes
-      // the wait return immediately and the pop go out partial).
-      const auto now = Clock::now();
-      auto deadline =
-          queue_.head_enqueued(opt_.policy, now) +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double>(opt_.policy.max_wait_s));
-      deadline = std::min(deadline, queue_.earliest_deadline());
+      // the head request's wait window expires. Shutdown (drain mode)
+      // flushes immediately. A queued SLO deadline earlier than the window
+      // caps the hold — batching slack must never be the reason a deadline
+      // is missed (an already-late deadline ends the wait at once and the
+      // pop goes out partial). The wake time is recomputed after every
+      // wake, because an arrival may bring an earlier deadline or a new
+      // lane head.
       {
         // Formation wait: deadline-bounded, so it lives on form_cv_ and
-        // is only nudged by arrivals that plausibly complete a batch
-        // (submit's key-bucket heuristic) or by control edges
-        // (shutdown, steal hand-off, residual work). Per-arrival
-        // notifies here were a measured ~20% of host wall time on
-        // underfed devices — a futex round trip per request to evaluate
-        // a predicate that almost always said "keep sleeping".
+        // is only nudged by arrivals that may end it early (submit's
+        // key-bucket and deadline checks) or by control edges (shutdown,
+        // steal hand-off, requeue). Per-arrival notifies here were a
+        // measured ~20% of host wall time on underfed devices — a futex
+        // round trip per request to evaluate a predicate that almost
+        // always said "keep sleeping".
         WaiterGuard wg(form_waiters_);
-        form_cv_.wait_until(lk, deadline, [&] {
+        for (;;) {
           drain_inbox_locked();
-          return stopping_.load() ||
-                 queue_.full_batch_ready(opt_.policy, Clock::now());
-        });
+          const auto now = Clock::now();
+          if (stopping_.load() || queue_.empty() ||
+              queue_.full_batch_ready(opt_.policy, now)) {
+            break;
+          }
+          const auto until =
+              std::min(queue_.head_enqueued(opt_.policy, now) +
+                           dur(opt_.policy.max_wait_s),
+                       queue_.earliest_deadline());
+          if (until <= now) break;
+          form_cv_.wait_until(lk, until);
+        }
       }
-      drain_inbox_locked();
-      if (queue_.empty()) {
-        if (stopping_.load()) continue;  // re-enter the drain/cancel epilogue
-        continue;                        // another worker took the work
-      }
+      // A thief or a quarantine drain may have emptied the queue while
+      // the worker slept; an empty queue while stopping re-enters the
+      // drain/cancel epilogue above.
+      if (queue_.empty()) continue;
       if (stopping_.load() && stop_mode_ == ShutdownMode::Cancel) break;
 
       const auto picked = Clock::now();
       std::vector<Pending> batch = queue_.pop_batch(opt_.policy, picked);
       for (const auto& p : batch) note_removed(p);
-      const bool residual = !queue_.empty();
       lk.unlock();
-      if (residual) wake_all_waiters();  // work may be ready for peers
-      execute_batch(session, std::move(batch), picked);
+      execute_batch(std::move(batch), picked);
       lk.lock();
     }
   } catch (...) {
-    // A worker must never terminate the process. Anything queued is
-    // resolved as Cancelled by shutdown(); peers keep serving.
+    // The worker must never terminate the process. Anything queued is
+    // resolved as Cancelled by shutdown().
   }
 }
 
@@ -416,8 +409,7 @@ void Engine::fulfill_finalized(std::vector<StreamSlot>& slots) {
   }
 }
 
-void Engine::run_group_stepwise(Session& session,
-                                std::vector<StreamSlot>& slots,
+void Engine::run_group_stepwise(std::vector<StreamSlot>& slots,
                                 GroupExec mode) {
   const Request& head = slots.front().p.req;
   const GroupKey key = group_key(head);
@@ -459,7 +451,7 @@ void Engine::run_group_stepwise(Session& session,
         // row, zero-padded to the step's longest remainder — trailing
         // zeros cannot change any prefix, so each row's first take_i
         // outputs are exactly the row's own scan continued by its carry.
-        auto ls = session.cumsum_batched_begin(head.tile, head.ul1_schedule);
+        auto ls = session_.cumsum_batched_begin(head.tile, head.ul1_schedule);
         const std::size_t l = head.tile * head.tile;
         // Step scratch lives across iterations; assign/resize reuse its
         // capacity instead of reallocating every step.
@@ -489,7 +481,7 @@ void Engine::run_group_stepwise(Session& session,
                 xs.begin() + static_cast<std::ptrdiff_t>(j * step_len));
             carries[j] = s.carry;
           }
-          auto r = session.cumsum_batched_step(ls, xs, act.size(), step_len,
+          auto r = session_.cumsum_batched_step(ls, xs, act.size(), step_len,
                                                carries);
           partial = ls.report;
           for (std::size_t j = 0; j < act.size(); ++j) {
@@ -527,7 +519,7 @@ void Engine::run_group_stepwise(Session& session,
             break;
           }
         }
-        fin = session.cumsum_batched_finish(ls);
+        fin = session_.cumsum_batched_finish(ls);
         metrics_.on_batch(slots.size(), fin);
         break;
       }
@@ -537,7 +529,7 @@ void Engine::run_group_stepwise(Session& session,
         // concatenated — the Session forces a segment start per chunk and
         // threads each row's fp32 carry across steps.
         constexpr std::size_t kStep = 4096;
-        auto ls = session.segmented_cumsum_begin();
+        auto ls = session_.segmented_cumsum_begin();
         std::vector<std::size_t> act;
         std::vector<half> xs;
         std::vector<std::int8_t> fs;
@@ -570,7 +562,7 @@ void Engine::run_group_stepwise(Session& session,
                       s.p.req.flags.begin() +
                           static_cast<std::ptrdiff_t>(s.off + take));
           }
-          auto r = session.segmented_cumsum_step(ls, xs, fs, row_len, carries);
+          auto r = session_.segmented_cumsum_step(ls, xs, fs, row_len, carries);
           partial = ls.report;
           std::size_t roff = 0;
           for (std::size_t j = 0; j < act.size(); ++j) {
@@ -606,17 +598,17 @@ void Engine::run_group_stepwise(Session& session,
             break;
           }
         }
-        fin = session.segmented_cumsum_finish(ls);
+        fin = session_.segmented_cumsum_finish(ls);
         metrics_.on_batch(slots.size(), fin);
         break;
       }
       case OpKind::TopP: {
         // A row's sample is already a multi-kernel pipeline, so one step =
         // one row; the single chunk carries the token.
-        auto ls = session.top_p_begin(head.p, head.tile);
+        auto ls = session_.top_p_begin(head.p, head.tile);
         for (std::size_t i = 0; i < slots.size(); ++i) {
           StreamSlot& s = slots[i];
-          auto sr = session.top_p_step(ls, s.p.req.x, s.p.req.u);
+          auto sr = session_.top_p_step(ls, s.p.req.x, s.p.req.u);
           partial = ls.report;
           s.resp.token = sr.index;
           if (streams(s)) {
@@ -631,7 +623,7 @@ void Engine::run_group_stepwise(Session& session,
             admit_continuations(slots, key, slots.size() - (i + 1));
           }
         }
-        fin = session.top_p_finish(ls);
+        fin = session_.top_p_finish(ls);
         metrics_.on_batch(slots.size(), fin);
         break;
       }
@@ -640,7 +632,7 @@ void Engine::run_group_stepwise(Session& session,
         // resumable slice — runs monolithic, never streams or admits.
         ASCAN_ASSERT(slots.size() == 1, "sort requests are never coalesced");
         StreamSlot& s = slots.front();
-        auto r = session.sort(s.p.req.x, s.p.req.descending,
+        auto r = session_.sort(s.p.req.x, s.p.req.descending,
                               s.p.req.sort_algo, s.p.req.tile);
         s.resp.sorted_values = std::move(r.values);
         s.resp.indices = std::move(r.indices);
@@ -675,7 +667,7 @@ void Engine::run_group_stepwise(Session& session,
   }
 }
 
-void Engine::execute_batch(Session& session, std::vector<Pending> batch,
+void Engine::execute_batch(std::vector<Pending> batch,
                            Clock::time_point picked, GroupExec mode) {
   const auto exec_begin = Clock::now();
   std::vector<StreamSlot> slots;
@@ -728,7 +720,7 @@ void Engine::execute_batch(Session& session, std::vector<Pending> batch,
   batch.clear();
   const bool started_solo = slots.size() == 1;
   try {
-    run_group_stepwise(session, slots, mode);
+    run_group_stepwise(slots, mode);
     // Preemption parks leave the launch cleanly (no exception) with
     // their slots unresolved and checkpointed; hand them back to the
     // queue so the interactive work they yielded to runs next.
@@ -758,7 +750,7 @@ void Engine::execute_batch(Session& session, std::vector<Pending> batch,
           // The isolation re-run consumes the stashed checkpoint too —
           // a local resume from the last completed tile, under the
           // request-scoped retry policy.
-          execute_single(session, p, p.resume.picked);
+          execute_single(p, p.resume.picked);
         }
       }
     } else {
@@ -775,7 +767,7 @@ void Engine::execute_batch(Session& session, std::vector<Pending> batch,
           // each under its request-scoped policy, so one poisoned request
           // cannot take down the batch. A partially-streamed request
           // restarts from offset 0.
-          execute_single(session, s.p, s.picked);
+          execute_single(s.p, s.picked);
         }
       }
     }
@@ -885,12 +877,11 @@ void Engine::stash_resume(StreamSlot& s) {
   rs.exec_begin = s.exec_begin;
 }
 
-void Engine::execute_single(Session& session, Pending& p,
-                            Clock::time_point picked) {
-  ScopedRetryPolicy scope(session, p.req.retry.value_or(opt_.retry));
+void Engine::execute_single(Pending& p, Clock::time_point picked) {
+  ScopedRetryPolicy scope(session_, p.req.retry.value_or(opt_.retry));
   std::vector<Pending> solo;
   solo.push_back(std::move(p));
-  execute_batch(session, std::move(solo), picked, GroupExec::Isolated);
+  execute_batch(std::move(solo), picked, GroupExec::Isolated);
 }
 
 void Engine::stamp_response(Pending& p, Response& r, Clock::time_point picked,
@@ -921,7 +912,7 @@ void Engine::begin_shutdown(ShutdownMode mode) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_.load() || stopped_) return;  // the first caller's mode wins
-    stop_mode_ = mode;  // before stopping_: workers read mode under mu_
+    stop_mode_ = mode;  // before stopping_: the worker reads it under mu_
     stopping_.store(true, std::memory_order_seq_cst);
   }
   wake_all_waiters();
@@ -935,8 +926,7 @@ void Engine::finish_shutdown() {
     ASCAN_CHECK(stopping_.load(),
                 "serve::Engine: finish_shutdown before begin_shutdown");
   }
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  if (worker_.joinable()) worker_.join();
 
   // A submit that passed the stopping check before the flag landed may
   // still be publishing; wait it out so the final drain below is really
@@ -993,7 +983,7 @@ std::size_t Engine::bulk_backlog() const {
 std::vector<Pending> Engine::steal_bulk_batch(std::size_t min_backlog) {
   std::vector<Pending> batch;
   // Cheap pre-check without mu_: a thief probing an empty sibling must
-  // not serialize against that sibling's own workers.
+  // not serialize against that sibling's own worker.
   if (bulk_depth_.load(std::memory_order_seq_cst) < min_backlog) return batch;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -1050,19 +1040,12 @@ std::vector<Pending> Engine::drain_queue() {
 }
 
 Engine::DeviceStats Engine::device_stats() const {
-  DeviceStats d;
-  bool first = true;
-  for (const auto& s : sessions_) {
-    const auto& c = s->cumulative_retry_stats();
-    d.op_calls += c.calls;
-    d.op_failures += c.failures;
-    d.retries += c.retries;
-    d.excluded_cores += c.excluded_cores;
-    d.active_cores = first ? s->active_cores()
-                           : std::min(d.active_cores, s->active_cores());
-    first = false;
-  }
-  return d;
+  const auto& c = session_.cumulative_retry_stats();
+  return {.active_cores = session_.active_cores(),
+          .op_calls = c.calls,
+          .op_failures = c.failures,
+          .retries = c.retries,
+          .excluded_cores = c.excluded_cores};
 }
 
 }  // namespace ascan::serve

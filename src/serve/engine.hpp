@@ -1,9 +1,9 @@
 // serve — the asynchronous request-serving engine.
 //
-// Layered on the persistent host execution engine of src/sim (PR 2): each
-// worker thread owns an ascan::Session (and thus a pooled simulated
-// device) and turns queued client requests into dynamically formed batched
-// launches. The client surface is three calls:
+// Layered on the host execution engine of src/sim: one worker thread owns
+// one ascan::Session (one simulated device) and turns queued client
+// requests into dynamically formed batched launches. The client surface is
+// three calls:
 //
 //   serve::Engine engine({.policy = {.max_batch = 16,
 //                                    .max_wait_s = 500e-6}});
@@ -54,7 +54,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -81,11 +80,10 @@ struct EngineOptions {
   /// under bulk overload.
   std::size_t max_queue = 256;
   std::size_t interactive_reserve = 16;
-  int num_workers = 1;  ///< Sessions (simulated devices) serving the queue
-  /// Device configuration of every worker Session (defaults to the 910B4).
+  /// Device configuration of the engine's Session (defaults to the 910B4).
   MachineConfig machine = MachineConfig::ascend_910b4();
   RetryPolicy retry{};     ///< engine-default resilience policy
-  FaultPlan fault_plan{};  ///< armed on every worker Session when any()
+  FaultPlan fault_plan{};  ///< armed on the engine's Session when any()
 
   /// Cluster shard id stamped on every Response served here (0 for a
   /// standalone engine; the Cluster assigns 0..N-1).
@@ -94,7 +92,7 @@ struct EngineOptions {
   /// waits to take a whole formed bulk batch from a sibling device instead
   /// of sleeping until local work arrives. Must return an empty vector
   /// when nothing is stealable; must never block on this engine's locks.
-  std::function<std::vector<Pending>()> steal_source;
+  std::function<std::vector<Pending>()> steal_source{};
   double steal_poll_s = 100e-6;  ///< idle poll cadence when stealing is on
 
   /// Cluster hook: per-launch outcome feed for the device health monitor.
@@ -106,14 +104,14 @@ struct EngineOptions {
   /// this engine's locks.
   std::function<void(bool faulted, std::uint32_t retries,
                      std::uint32_t canaries)>
-      outcome_sink;
+      outcome_sink{};
   /// Cluster hook: every unresolved member of a faulted batch is offered
   /// here — each carries its tile checkpoint in Pending::resume — so the
   /// cluster can re-dispatch it to a healthy sibling. Returns the pendings
   /// it could NOT re-dispatch; those fall back to this engine's local
   /// isolation path. Called with no engine lock held. When unset, every
   /// member falls back locally (standalone-engine behaviour).
-  std::function<std::vector<Pending>(std::vector<Pending>)> failover_sink;
+  std::function<std::vector<Pending>(std::vector<Pending>)> failover_sink{};
 };
 
 class Engine {
@@ -131,14 +129,14 @@ class Engine {
   /// Thread-safe. Validates, admits (or rejects) and returns the future.
   std::future<Response> submit(Request req);
 
-  /// Stops the workers. Idempotent; concurrent callers all block until
+  /// Stops the worker. Idempotent; concurrent callers all block until
   /// the engine is fully stopped. After return, every future ever handed
   /// out is resolved and further submits resolve as Rejected.
   void shutdown(ShutdownMode mode);
 
   /// Two-phase shutdown for multi-device owners: begin_shutdown() signals
   /// the stop (non-blocking, so a cluster stops every device in parallel);
-  /// finish_shutdown() joins the workers and resolves leftovers.
+  /// finish_shutdown() joins the worker and resolves leftovers.
   /// shutdown() == begin + finish.
   void begin_shutdown(ShutdownMode mode);
   void finish_shutdown();
@@ -166,10 +164,10 @@ class Engine {
   /// shutdown is in progress (shutdown owns the queue's requests then).
   std::vector<Pending> drain_queue();
 
-  /// Post-shutdown per-device degradation view, aggregated over the
-  /// engine's Sessions. Reading it while workers are live is racy.
+  /// Post-shutdown per-device degradation view of the engine's Session.
+  /// Reading it while the worker is live is racy.
   struct DeviceStats {
-    int active_cores = 0;  ///< min over sessions (cores stay offline)
+    int active_cores = 0;  ///< excluded cores stay offline
     std::uint64_t op_calls = 0;
     std::uint64_t op_failures = 0;
     std::uint64_t retries = 0;
@@ -210,15 +208,14 @@ class Engine {
     bool fulfilled = false;  ///< promise set (by a batch fulfilment pass)
   };
 
-  void worker_main(std::size_t idx);
-  /// Unlocks `lk`, asks the steal_source for a batch and executes it on
-  /// `session`; relocks. Returns whether a batch was stolen.
-  bool steal_and_execute(Session& session, std::unique_lock<std::mutex>& lk);
-  void execute_batch(Session& session, std::vector<Pending> batch,
-                     Clock::time_point picked,
+  void worker_main();
+  /// Unlocks `lk`, asks the steal_source for a batch and executes it;
+  /// relocks. Returns whether a batch was stolen.
+  bool steal_and_execute(std::unique_lock<std::mutex>& lk);
+  void execute_batch(std::vector<Pending> batch, Clock::time_point picked,
                      GroupExec mode = GroupExec::Local);
   /// Runs one request alone under its request-scoped RetryPolicy.
-  void execute_single(Session& session, Pending& p, Clock::time_point picked);
+  void execute_single(Pending& p, Clock::time_point picked);
   /// Drives the coalesced launch tile-by-tile via the Session stepwise API:
   /// scatters every completed slice into its slot (streaming it when the
   /// request asked), resolves slots the moment their last slice lands, and
@@ -226,8 +223,7 @@ class Engine {
   /// Local + policy.continuous). On a typed fault it records the partial
   /// Report (failed_batches / sim_* counters) and rethrows with every
   /// unresolved slot's Pending intact for the caller's fallback.
-  void run_group_stepwise(Session& session, std::vector<StreamSlot>& slots,
-                          GroupExec mode);
+  void run_group_stepwise(std::vector<StreamSlot>& slots, GroupExec mode);
   /// Continuation admission: pops queued requests matching `key` into
   /// `slots` (up to max_batch total active rows). Returns how many joined.
   std::size_t admit_continuations(std::vector<StreamSlot>& slots,
@@ -285,17 +281,17 @@ class Engine {
   /// submit() -> inbox_ handoff is lock-free.
   void drain_inbox_locked();
   /// Producer half of the sleep-race protocol: seq_cst fence, then notify
-  /// only when a worker is registered in cv_waiters_ (paired with the
+  /// only when the worker is registered in cv_waiters_ (paired with the
   /// consumer's register-then-drain order — see DESIGN.md "Host hot
-  /// path"). `batch_ready` additionally nudges formation waiters —
-  /// workers sleeping out a partial batch's max_wait window on form_cv_.
-  /// Those waits are deadline-bounded, so skipping the nudge for
-  /// arrivals that cannot complete a batch costs at most the formation
+  /// path"). `nudge_formation` additionally wakes a worker sleeping out a
+  /// partial batch's formation window on form_cv_. That wait is
+  /// deadline-bounded, so skipping the nudge for arrivals that neither
+  /// complete a batch nor carry a deadline costs at most the formation
   /// window the policy already tolerates, and it is what keeps a
   /// lightly-loaded device's worker from a futex round trip per request.
-  void wake_workers(bool batch_ready);
+  void wake_worker(bool nudge_formation);
   /// Wakes every waiter on both condition variables (shutdown, steal
-  /// hand-offs, residual-work announcements — the rare control edges).
+  /// hand-offs, requeues — the rare control edges).
   void wake_all_waiters();
   /// Accounting when a request leaves the queue for execution (pop, steal,
   /// drain, flush): undoes the depth_/bulk_depth_ admission ticket and the
@@ -309,13 +305,17 @@ class Engine {
 
   EngineOptions opt_;
   Metrics metrics_;
+  /// The engine's simulated device context. Owned by the engine so
+  /// per-device state — excluded cores, cumulative retry stats — outlives
+  /// the worker thread and is inspectable after shutdown.
+  Session session_;
 
   std::mutex shutdown_mu_;  ///< serialises shutdown callers (join outside mu_)
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   /// Lock-free MPSC submission inbox: submit() publishes here (one
-  /// fetch_add + release store, no mu_) and whichever worker holds mu_
-  /// drains it into the batcher. Sized 2x the admission bound so the
+  /// fetch_add + release store, no mu_) and whoever holds mu_ drains it
+  /// into the batcher. Sized 2x the admission bound so the
   /// depth_ ticket guarantees a push can never find it full.
   MpscRing<Pending> inbox_;
   Batcher queue_;  ///< lane/EDF structures; guarded by mu_
@@ -331,34 +331,31 @@ class Engine {
   /// yet. Shutdown waits for zero before the final drain, so a racing
   /// submit is either rejected or fully served — never stranded.
   std::atomic<std::uint64_t> submits_inflight_{0};
-  /// Workers registered in the *idle* cv wait (queue empty; possibly
+  /// Worker registered in the *idle* cv wait (queue empty; possibly
   /// indefinite). Producers skip the notify entirely when this is zero —
   /// the common saturated case — and pair a seq_cst fence with the
   /// waiter's registration to make the skip race-free. Idle waits are the
   /// only unbounded ones, so they keep the per-arrival notify.
   std::atomic<int> cv_waiters_{0};
-  /// Workers registered in the *formation* wait (partial batch, sleeping
+  /// Worker registered in the *formation* wait (partial batch, sleeping
   /// until the max_wait window or an SLO deadline expires) on form_cv_.
-  /// Only nudged when an arrival could complete a batch: these waits are
-  /// time-bounded, so a skipped notify delays a pop by at most the
-  /// formation window — never loses it.
+  /// Only nudged when an arrival could complete a batch or carries a
+  /// deadline that may end the window early: the wait is time-bounded, so
+  /// a skipped notify delays a pop by at most the formation window — never
+  /// loses it.
   std::condition_variable form_cv_;
   std::atomic<int> form_waiters_{0};
   /// Pending-count per group_key_hash bucket, maintained lock-free by
   /// submit()/note_removed(). When an arrival brings its bucket to a
   /// multiple of max_batch, a full batch is plausibly ready and the
-  /// formation waiters get their nudge. Collisions only over-count,
+  /// formation waiter gets its nudge. Collisions only over-count,
   /// which closes a batch window early — a scheduling nudge, never a
   /// correctness issue (the popping worker re-checks under mu_).
   static constexpr std::size_t kWakeBuckets = 64;
   std::array<std::atomic<std::uint32_t>, kWakeBuckets> key_pending_{};
   std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> next_launch_id_{1};  // 0 = never launched
-  /// One Session (one simulated device context) per worker, owned by the
-  /// engine so per-device state — excluded cores, cumulative retry stats —
-  /// outlives the worker threads and is inspectable after shutdown.
-  std::vector<std::unique_ptr<Session>> sessions_;
-  std::vector<std::thread> workers_;
+  std::thread worker_;  ///< started last, once every member above exists
 };
 
 }  // namespace ascan::serve

@@ -76,71 +76,54 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded accumulator
-
-Metrics::Shard& Metrics::my_shard() {
-  // Round-robin thread -> shard assignment, fixed at a thread's first
-  // histogram event. Engine workers therefore each own a shard (up to
-  // kShards of them) and never contend; the assignment is process-wide so
-  // a thread keeps its shard index across every Metrics instance.
-  static std::atomic<unsigned> next_thread{0};
-  thread_local const unsigned idx =
-      next_thread.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<unsigned>(kShards);
-  return shards_[idx];
-}
+// Accumulator
 
 void Metrics::on_completed(OpKind kind, SloTier tier, const Timing& t) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.completed++;
-  sh.by_kind[static_cast<std::size_t>(kind)]++;
-  sh.queue_latency.add(t.queue_s);
-  sh.execute_latency.add(t.execute_s);
-  sh.total_latency.add(t.total_s);
-  sh.tier_latency[static_cast<std::size_t>(tier)].add(t.total_s);
+  std::lock_guard<std::mutex> lk(mu_);
+  acc_.completed++;
+  acc_.by_kind[static_cast<std::size_t>(kind)]++;
+  acc_.queue_latency.add(t.queue_s);
+  acc_.execute_latency.add(t.execute_s);
+  acc_.total_latency.add(t.total_s);
+  acc_.tier_latency[static_cast<std::size_t>(tier)].add(t.total_s);
 }
 
 void Metrics::on_failed(const Timing& t) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.failed++;
-  sh.queue_latency.add(t.queue_s);
-  sh.total_latency.add(t.total_s);
+  std::lock_guard<std::mutex> lk(mu_);
+  acc_.failed++;
+  acc_.queue_latency.add(t.queue_s);
+  acc_.total_latency.add(t.total_s);
 }
 
 void Metrics::on_batch(std::size_t occupancy, const Report& rep) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.batches++;
-  sh.batched_requests += occupancy;
-  sh.max_batch_observed =
-      std::max<std::uint64_t>(sh.max_batch_observed, occupancy);
-  sh.sim_time_s += rep.time_s;
-  sh.sim_gm_bytes += rep.gm_read_bytes + rep.gm_write_bytes;
-  sh.sim_launches += rep.launches;
-  sh.sim_steps += rep.steps;
-  sh.sim_retries += rep.retries;
-  sh.sim_excluded_cores += rep.excluded_cores;
+  std::lock_guard<std::mutex> lk(mu_);
+  acc_.batches++;
+  acc_.batched_requests += occupancy;
+  acc_.max_batch_observed =
+      std::max<std::uint64_t>(acc_.max_batch_observed, occupancy);
+  acc_.sim_time_s += rep.time_s;
+  acc_.sim_gm_bytes += rep.gm_read_bytes + rep.gm_write_bytes;
+  acc_.sim_launches += rep.launches;
+  acc_.sim_steps += rep.steps;
+  acc_.sim_retries += rep.retries;
+  acc_.sim_excluded_cores += rep.excluded_cores;
 }
 
 void Metrics::on_batch_abandoned(const Report& partial) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.failed_batches++;
-  sh.sim_time_s += partial.time_s;
-  sh.sim_gm_bytes += partial.gm_read_bytes + partial.gm_write_bytes;
-  sh.sim_launches += partial.launches;
-  sh.sim_steps += partial.steps;
-  sh.sim_retries += partial.retries;
-  sh.sim_excluded_cores += partial.excluded_cores;
+  std::lock_guard<std::mutex> lk(mu_);
+  acc_.failed_batches++;
+  acc_.sim_time_s += partial.time_s;
+  acc_.sim_gm_bytes += partial.gm_read_bytes + partial.gm_write_bytes;
+  acc_.sim_launches += partial.launches;
+  acc_.sim_steps += partial.steps;
+  acc_.sim_retries += partial.retries;
+  acc_.sim_excluded_cores += partial.excluded_cores;
 }
 
 void Metrics::on_chunk(double latency_s) {
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.stream_chunks++;
-  sh.chunk_latency.add(latency_s);
+  std::lock_guard<std::mutex> lk(mu_);
+  acc_.stream_chunks++;
+  acc_.chunk_latency.add(latency_s);
 }
 
 namespace {
@@ -159,40 +142,17 @@ void recompute_derived(MetricsSnapshot& out, double hbm_peak) {
 }  // namespace
 
 MetricsSnapshot Metrics::snapshot() const {
+  // Child-before-parent read order. Phase 1: the mutex-guarded state —
+  // completions, failures and their histograms. The mutex acquire
+  // synchronizes with every writer that updated it, so every gathered
+  // completion's upstream admission/submission bump is visible to this
+  // thread afterwards.
   MetricsSnapshot out;
-  out.device = device_;
-  // Child-before-parent read order. Phase 1: the shard-guarded state —
-  // completions, failures and their histograms. Each shard's mutex
-  // acquire synchronizes with every writer that updated it, so by the
-  // time the loop finishes, every gathered completion's upstream
-  // admission/submission bump is visible to this thread.
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    out.completed += sh.completed;
-    out.failed += sh.failed;
-    for (std::size_t k = 0; k < out.by_kind.size(); ++k) {
-      out.by_kind[k] += sh.by_kind[k];
-    }
-    out.batches += sh.batches;
-    out.batched_requests += sh.batched_requests;
-    out.max_batch_observed =
-        std::max(out.max_batch_observed, sh.max_batch_observed);
-    out.failed_batches += sh.failed_batches;
-    out.stream_chunks += sh.stream_chunks;
-    out.queue_latency.merge(sh.queue_latency);
-    out.execute_latency.merge(sh.execute_latency);
-    out.total_latency.merge(sh.total_latency);
-    out.chunk_latency.merge(sh.chunk_latency);
-    for (std::size_t k = 0; k < out.tier_latency.size(); ++k) {
-      out.tier_latency[k].merge(sh.tier_latency[k]);
-    }
-    out.sim_time_s += sh.sim_time_s;
-    out.sim_gm_bytes += sh.sim_gm_bytes;
-    out.sim_launches += sh.sim_launches;
-    out.sim_steps += sh.sim_steps;
-    out.sim_retries += sh.sim_retries;
-    out.sim_excluded_cores += sh.sim_excluded_cores;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out = acc_;
   }
+  out.device = device_;
   // Phase 2: the pure counters, leaf to root — cancellations and
   // rejections before admissions before submissions, the reverse of the
   // writers' bump order — so every inequality the snapshot exports

@@ -7,20 +7,20 @@
 // as JSON (schema documented in DESIGN.md "Serving layer") so load
 // generators and dashboards consume one stable format.
 //
-// Hot-path design (DESIGN.md "Host hot path"): the accumulator is sharded
-// so no request completion ever touches a global mutex. Pure counters are
-// seq_cst atomics; histogram-coupled events (completions, failures,
-// batches, chunks) land in one of kShards per-thread shards, each behind
-// its own — effectively uncontended — mutex. snapshot() merges the shards
-// and reads the atomics in child-before-parent order (completions before
-// admissions before submissions), which makes the exported view
-// internally consistent: a request counted as completed in a snapshot is
-// provably also counted as admitted and submitted in the same snapshot
-// (the admission bump happens-before the completion bump through the
-// submission queue's release/acquire chain, and the reader observes the
-// completion first). MetricsSnapshot::invariant_violations() checks the
-// resulting inequalities and exact histogram/counter pairings; the JSON
-// export surfaces it for merged views.
+// Hot-path design (DESIGN.md "Host hot path"): pure counters are seq_cst
+// atomics, so admission never takes a lock. Histogram-coupled events
+// (completions, failures, batches, chunks) update their counter and
+// histograms together under one mutex; an engine's worker is their only
+// writer, so that mutex is effectively uncontended. snapshot() reads the
+// guarded state first and then the atomics in child-before-parent order
+// (completions before admissions before submissions), which makes the
+// exported view internally consistent: a request counted as completed in
+// a snapshot is provably also counted as admitted and submitted in the
+// same snapshot (the admission bump happens-before the completion bump
+// through the submission queue's release/acquire chain, and the reader
+// observes the completion first). MetricsSnapshot::invariant_violations()
+// checks the resulting inequalities and exact histogram/counter pairings;
+// the JSON export surfaces it for merged views.
 #pragma once
 
 #include <array>
@@ -170,7 +170,7 @@ struct MetricsSnapshot {
   /// reader's child-before-parent ordering — see Metrics):
   ///   admitted + rejected_* <= submitted
   ///   completed + failed + cancelled <= admitted
-  /// and exact pairings updated atomically under one shard lock:
+  /// and exact pairings updated atomically under one lock:
   ///   execute_latency.count == completed
   ///   total_latency.count == completed + failed
   ///   sum(by_kind) == completed, sum(tier_latency counts) == completed
@@ -192,8 +192,7 @@ struct MetricsSnapshot {
                                 double hbm_peak_bytes_per_s);
 };
 
-/// Thread-safe sharded accumulator owned by the Engine. The on_* surface
-/// is unchanged from the single-mutex version; only the storage is split.
+/// Thread-safe accumulator owned by the Engine (and the Cluster front end).
 ///
 /// Ordering rules the writers follow (and snapshot() relies on):
 ///  * on_submitted is bumped before on_admitted / on_rejected_* for the
@@ -251,41 +250,14 @@ class Metrics {
   MetricsSnapshot snapshot() const;
 
  private:
-  /// Shard count: enough that a handful of worker threads (engines run
-  /// 1-4 workers; the cluster adds submitter threads only for the cheap
-  /// atomic counters) effectively never share a shard mutex.
-  static constexpr std::size_t kShards = 8;
-
-  /// Histogram-coupled state. Every event updates its whole pair set
-  /// (counter + histograms) under the one shard mutex, so any snapshot
-  /// observes exact pairings per shard — and, summed, overall.
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::array<std::uint64_t, 4> by_kind{};
-    std::uint64_t batches = 0;
-    std::uint64_t batched_requests = 0;
-    std::uint64_t max_batch_observed = 0;
-    std::uint64_t failed_batches = 0;
-    std::uint64_t stream_chunks = 0;
-    LatencyHistogram queue_latency;
-    LatencyHistogram execute_latency;
-    LatencyHistogram total_latency;
-    LatencyHistogram chunk_latency;
-    std::array<LatencyHistogram, kSloTierCount> tier_latency;
-    double sim_time_s = 0;
-    std::uint64_t sim_gm_bytes = 0;
-    int sim_launches = 0;
-    int sim_steps = 0;
-    std::uint32_t sim_retries = 0;
-    std::uint32_t sim_excluded_cores = 0;
-  };
-  Shard& my_shard();
-
   int device_;
   double hbm_peak_;
-  std::array<Shard, kShards> shards_;
+  /// Histogram-coupled state: only the fields on_completed, on_failed,
+  /// on_batch, on_batch_abandoned and on_chunk write. Every event updates
+  /// its whole pair set (counter + histograms) under mu_, so any snapshot
+  /// observes exact pairings. The pure counters live in the atomics below.
+  mutable std::mutex mu_;
+  MetricsSnapshot acc_;
 
   using Counter = std::atomic<std::uint64_t>;
   Counter submitted_{0};

@@ -1,9 +1,9 @@
 // serve — bounded lock-free submission ring (the engine's MPSC inbox).
 //
 // Dmitry Vyukov's bounded MPMC queue, used here as a multi-producer /
-// single-consumer-at-a-time inbox between Engine::submit() and the worker
-// threads: producers claim cells with one fetch_add on enqueue_pos_ and
-// never touch the engine mutex; the draining worker (whichever one holds
+// single-consumer-at-a-time inbox between Engine::submit() and the engine's
+// worker: producers claim cells with one fetch_add on enqueue_pos_ and
+// never touch the engine mutex; the draining thread (whichever one holds
 // mu_) pops in FIFO-per-producer order. Each cell carries a sequence
 // number that encodes its state (empty at lap k / full at lap k), so a
 // push is one CAS-free fetch_add plus a release store and a pop is one
@@ -21,7 +21,7 @@
 //    the push (the Pending, its metrics bumps) is visible to the consumer.
 //  * The queue itself is NOT the wakeup channel. Producers pair a seq_cst
 //    fence + waiter-count check with the consumer's waiter registration
-//    (Engine::wake_workers / WaiterGuard) to close the sleep race.
+//    (Engine::wake_worker / WaiterGuard) to close the sleep race.
 #pragma once
 
 #include <atomic>

@@ -41,8 +41,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 1000, 16384, 500000),
                        ::testing::Values<std::size_t>(32, 128)),
     [](const auto& ti) {
-      return "n" + std::to_string(std::get<0>(ti.param)) + "_s" +
-             std::to_string(std::get<1>(ti.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(ti.param));
+      name += "_s";
+      return name += std::to_string(std::get<1>(ti.param));
     });
 
 TEST(CubeReduce, NegativeAndFractionalValues) {
@@ -96,7 +98,8 @@ TEST_P(RadixU8, StableSortWithIndices) {
 INSTANTIATE_TEST_SUITE_P(Sizes, RadixU8,
                          ::testing::Values<std::size_t>(1, 255, 8192, 60000),
                          [](const auto& ti) {
-                           return "n" + std::to_string(ti.param);
+                           std::string name = "n";
+                           return name += std::to_string(ti.param);
                          });
 
 TEST(RadixU8, HalvedPassCountRoughlyHalvesTime) {

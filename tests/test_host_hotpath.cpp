@@ -1,5 +1,5 @@
 // Concurrency tests for the host hot path (DESIGN.md "Host hot path"):
-// the lock-free MPSC submission ring and the sharded metrics accumulator.
+// the lock-free MPSC submission ring and the metrics accumulator.
 // These are the two structures the engine trusts with exactly-once
 // delivery and exported-counter consistency, so they get direct
 // multi-threaded batteries here in addition to the engine-level stress
@@ -175,10 +175,10 @@ Timing tiny_timing() {
   return t;
 }
 
-TEST(ShardedMetrics, ConcurrentEventsMergeExactly) {
+TEST(Metrics, ConcurrentEventsMergeExactly) {
   // T threads hammer every histogram-coupled event; the final snapshot
   // must account for each exactly once, with the histogram/counter
-  // pairings intact (the merge at export is the only aggregation point).
+  // pairings intact.
   Metrics m(/*hbm_peak_bytes_per_s=*/800e9);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4000;
@@ -230,12 +230,12 @@ TEST(ShardedMetrics, ConcurrentEventsMergeExactly) {
   EXPECT_EQ(s.invariant_violations(), "");
 }
 
-TEST(ShardedMetrics, EverySnapshotDuringTheRaceIsInternallyConsistent) {
+TEST(Metrics, EverySnapshotDuringTheRaceIsInternallyConsistent) {
   // The export-ordering claim: a reader snapshotting *mid-race* never
   // observes a completion without its admission, or an admission without
   // its submission, and never a histogram/counter pairing torn apart —
   // because writers bump child-before-parent through release/acquire
-  // program order and the reader merges in the reverse order.
+  // program order and the reader reads in the reverse order.
   Metrics m(800e9);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;

@@ -59,7 +59,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RadixSortF16,
                          ::testing::Values<std::size_t>(1, 31, 1000, 8192,
                                                         100000),
                          [](const auto& ti) {
-                           return "n" + std::to_string(ti.param);
+                           std::string name = "n";
+                           return name += std::to_string(ti.param);
                          });
 
 TEST(RadixSortF16Desc, DescendingOrder) {
@@ -93,6 +94,26 @@ TEST(RadixSortF16, NegativeZeroAndExtremes) {
   // (its encoding 0x7fff precedes 0x8000).
   EXPECT_EQ(keys_out[3].bits(), 0x8000u);  // -0 before +0
   EXPECT_EQ(keys_out[4].bits(), 0x0000u);
+}
+
+TEST(RefStableSort, PinsTieOrderInBothDirections) {
+  // Nine keys: the widening runs eight lanes at a time plus a scalar tail.
+  // -0 and +0 compare equal, so every zero keeps its input order, as do
+  // the repeated 1s, in both directions.
+  const std::vector<half> x = {half(1.0f),  half(-0.0f), half(0.0f),
+                               half(1.0f),  half(-1.0f), half(0.0f),
+                               half(-0.0f), half(2.0f),  half(1.0f)};
+  const auto check = [&](bool descending, std::vector<std::int32_t> want) {
+    const auto got = ref::stable_sort(std::span<const half>(x), descending);
+    EXPECT_EQ(got.indices, want) << (descending ? "descending" : "ascending");
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(got.values[i].bits(),
+                x[static_cast<std::size_t>(want[i])].bits())
+          << "value @" << i;
+    }
+  };
+  check(false, {4, 1, 2, 5, 6, 0, 3, 8, 7});
+  check(true, {7, 0, 3, 8, 1, 2, 5, 6, 4});
 }
 
 TEST(RadixSortU16, AscendingWithIndices) {

@@ -51,10 +51,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.0, 0.001, 0.1, 1.0),
                        ::testing::Values(1, 20)),
     [](const auto& ti) {
-      return "n" + std::to_string(std::get<0>(ti.param)) + "_d" +
-             std::to_string(
-                 static_cast<int>(std::get<1>(ti.param) * 1000)) +
-             "_b" + std::to_string(std::get<2>(ti.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(ti.param));
+      name += "_d";
+      name += std::to_string(static_cast<int>(std::get<1>(ti.param) * 1000));
+      name += "_b";
+      return name += std::to_string(std::get<2>(ti.param));
     });
 
 TEST(SegScanEdge, SingleSegmentEqualsPlainScan) {
@@ -75,7 +77,9 @@ TEST(SegScanEdge, SingleSegmentEqualsPlainScan) {
   double racc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     racc += double(float(x[i]));
-    if (i % 37 == 0 || i == n - 1) ASSERT_EQ(gy[i], racc) << i;
+    if (i % 37 == 0 || i == n - 1) {
+      ASSERT_EQ(gy[i], racc) << i;
+    }
   }
   (void)acc;
 }

@@ -127,8 +127,7 @@ PreemptedRun run_preempted_bit_exact() {
   Engine engine({.policy = {.max_batch = 4,
                             .max_wait_s = 50e-6,
                             .aging_factor = 1e9,
-                            .preempt_slack_s = 1e9},
-                 .num_workers = 1});
+                            .preempt_slack_s = 1e9}});
 
   // Different GroupKey (tile 64), so continuation admission cannot seat
   // it — preemption is the only way it runs before the bulk tail.
@@ -196,8 +195,7 @@ TEST(SloPreemption, SegmentedPreemptedBulkBitExact) {
   Engine engine({.policy = {.max_batch = 4,
                             .max_wait_s = 50e-6,
                             .aging_factor = 1e9,
-                            .preempt_slack_s = 1e9},
-                 .num_workers = 1});
+                            .preempt_slack_s = 1e9}});
   // The interactive request is submitted from the first chunk's callback,
   // which the worker runs before its preemption check: the park lands on
   // the first tile boundary however fast the host runs the steps.
@@ -227,8 +225,7 @@ TEST(SloPreemption, DisabledPreemptionNeverParks) {
   Engine engine({.policy = {.max_batch = 4,
                             .max_wait_s = 50e-6,
                             .preemption = false,
-                            .preempt_slack_s = 1e9},
-                 .num_workers = 1});
+                            .preempt_slack_s = 1e9}});
   auto bulk_fut =
       engine.submit(Request::cumsum(x, 16, false, Priority::Bulk));
   auto hi_fut = engine.submit(
@@ -255,8 +252,7 @@ TEST(SloPreemption, AgedBulkCompletesUnderSustainedInteractiveDeadlines) {
                             .max_wait_s = 1e-3,
                             .aging_factor = 2.0,
                             .preempt_slack_s = 1e9},
-                 .max_queue = 512,
-                 .num_workers = 1});
+                 .max_queue = 512});
   const auto x = exact_scan_workload(16384, 31);  // tile 16 -> 64 steps
   auto bulk_fut =
       engine.submit(Request::cumsum(x, 16, false, Priority::Bulk));
@@ -315,6 +311,28 @@ TEST(SloDeadlines, MissesAreCountedAndFlagged) {
   EXPECT_EQ(
       m.tier_latency[static_cast<std::size_t>(SloTier::Silver)].count(),
       1u);  // default tier
+}
+
+TEST(SloDeadlines, DeadlineArrivingDuringFormationWaitEndsTheWindow) {
+  // A lone request opens a long formation window. A Gold request with a
+  // 50 ms deadline that arrives while the worker sleeps out that window
+  // must end it at its deadline — whether it joins the waiting request's
+  // GroupKey or brings a different one (tile 64 vs 128). The bound is
+  // half the window, so it holds on any host that runs the worker at all.
+  constexpr double kWindow = 2.0;
+  for (const std::size_t b_tile : {128u, 64u}) {
+    SCOPED_TRACE(b_tile == 128 ? "same key" : "different key");
+    Engine engine({.policy = {.max_batch = 16, .max_wait_s = kWindow}});
+    auto a = engine.submit(Request::cumsum(exact_scan_workload(128), 128));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto b = engine.submit(Request::cumsum(exact_scan_workload(128), b_tile)
+                               .with_slo(SloTier::Gold, 50e-3));
+    const auto rb = b.get();
+    ASSERT_TRUE(rb.ok()) << rb.reason;
+    EXPECT_LT(rb.timing.queue_s, kWindow / 2);
+    engine.shutdown(ShutdownMode::Drain);
+    EXPECT_TRUE(a.get().ok());
+  }
 }
 
 TEST(SloDeadlines, NegativeOrNanDeadlineIsRejectedTyped) {

@@ -77,7 +77,9 @@ Args parse(int argc, char** argv) {
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         a.kv[key] = argv[++i];
       } else {
-        a.kv[key] = "1";
+        // Move-assigned: libstdc++ 12 at -O3 reports a false -Wrestrict
+        // for operator=(const char*) here.
+        a.kv[key] = std::string("1");
       }
     }
   }
