@@ -3,6 +3,7 @@
 // are *not* paper figures — they track the cost of running this
 // reproduction (useful when extending the simulator).
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstddef>
 #include <utility>
@@ -10,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/ascan.hpp"
+#include "kernels/batched_scan.hpp"
 #include "kernels/common.hpp"
 #include "kernels/copy_kernel.hpp"
 #include "kernels/mcscan.hpp"
@@ -256,35 +258,70 @@ BENCHMARK(BM_SessionTopPSampleBatch)->Arg(512)->UseRealTime();
 // (every launch replays its trace through the DES) and on (a stable launch
 // shape skips the replay). The 8K copy is the purest per-launch overhead:
 // 60 sub-core fibers, context setup and a short replay. The 2^20 fp16
-// MCScan is a large launch whose replay is a bigger share of its cost.
-static void BM_RepeatedLaunch(benchmark::State& state, bool mcscan,
+// MCScan is a large launch whose replay is a bigger share of its cost. The
+// serve row is the serving stack's launch: a batch-1, 256-element
+// batched ScanU row (s = 128) over all 20 AI cores, where only one cube
+// core gets work. sys_us_per_launch is the kernel-mode CPU time (getrusage)
+// each launch costs the host.
+enum class LaunchShape { Copy8K, McScan1M, ServeRow };
+
+static double sys_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_stime.tv_sec) +
+         static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
+}
+
+static void BM_RepeatedLaunch(benchmark::State& state, LaunchShape shape,
                               bool timing_cache) {
-  const std::size_t n = mcscan ? std::size_t{1} << 20 : 8192;
+  const std::size_t n = shape == LaunchShape::McScan1M ? std::size_t{1} << 20
+                        : shape == LaunchShape::ServeRow ? 256
+                                                         : 8192;
   acc::Device dev(cfg(timing_cache));
   auto x = dev.upload(bench_workload(n));
   auto y = dev.alloc<half>(n);
   auto yf = dev.alloc<float>(n);
   std::int64_t launches = 0;
+  const double sys0 = sys_seconds();
   for (auto _ : state) {
-    const auto r =
-        mcscan
-            ? kernels::mcscan<half, float>(dev, x.tensor(), yf.tensor(), n, {})
-            : kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), n, 0);
+    sim::Report r;
+    switch (shape) {
+      case LaunchShape::Copy8K:
+        r = kernels::copy_kernel<half>(dev, x.tensor(), y.tensor(), n, 0);
+        break;
+      case LaunchShape::McScan1M:
+        r = kernels::mcscan<half, float>(dev, x.tensor(), yf.tensor(), n, {});
+        break;
+      case LaunchShape::ServeRow:
+        r = kernels::batched_scan_u(dev, x.tensor(), y.tensor(), 1, n,
+                                    {.s = 128});
+        break;
+    }
     launches += r.launches;
     benchmark::DoNotOptimize(r.time_s);
   }
+  const double sys = sys_seconds() - sys0;
   state.counters["launches_per_s"] = benchmark::Counter(
       static_cast<double>(launches), benchmark::Counter::kIsRate);
+  state.counters["sys_us_per_launch"] =
+      launches > 0 ? sys * 1e6 / static_cast<double>(launches) : 0.0;
   state.counters["cache_hits"] =
       static_cast<double>(dev.engine().cache_stats().hits);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, replayed, false, false)->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, cached, false, true)->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_replayed, true, false)
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, replayed, LaunchShape::Copy8K, false)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_cached, true, true)
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, cached, LaunchShape::Copy8K, true)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_replayed, LaunchShape::McScan1M,
+                  false)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, mcscan_1M_cached, LaunchShape::McScan1M,
+                  true)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_RepeatedLaunch, serve_row_replayed, LaunchShape::ServeRow,
+                  false)
     ->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -1,5 +1,7 @@
 #include "ascendc/context.hpp"
 
+#include <cstring>
+
 namespace ascend::acc {
 
 // ---------------------------------------------------------------------------
@@ -149,6 +151,23 @@ std::byte* KernelContext::arena_alloc(TPosition pos, std::size_t bytes) {
                             << ", capacity " << a.mem.size() << " B");
   a.used = offset + bytes;
   return a.mem.data() + offset;
+}
+
+void KernelContext::defer_fill(BufferState& st, std::byte* dst,
+                               const std::byte* src, std::size_t bytes) {
+  ASCAN_ASSERT(st.fill_bytes == 0, "a deferred fill is already pending");
+  st.fill_dst = dst;
+  st.fill_src = src;
+  st.fill_bytes = bytes;
+  ++shared_->fills().deferred;
+}
+
+void KernelContext::materialize_fill(BufferState& st) {
+  std::memcpy(st.fill_dst, st.fill_src, st.fill_bytes);
+  FillStats& f = shared_->fills();
+  ++f.materialized;
+  f.materialized_bytes += st.fill_bytes;
+  st.fill_bytes = 0;
 }
 
 std::uint32_t KernelContext::record_compute(

@@ -24,6 +24,15 @@ namespace ascend::acc {
 
 class KernelContext;
 
+/// Deferred constant fills of a launch (see DataCopy in intrinsics.hpp):
+/// how many were recorded, and how many some intrinsic had to copy into
+/// place, with their bytes.
+struct FillStats {
+  std::uint64_t deferred = 0;
+  std::uint64_t materialized = 0;
+  std::uint64_t materialized_bytes = 0;
+};
+
 /// A shared array of cross-core synchronisation flags. set(i) publishes the
 /// id of the trace op that performed the set; wait(i) parks the waiting
 /// sub-core until then and records a dependency edge on that op.
@@ -52,6 +61,7 @@ class LaunchShared {
   explicit LaunchShared(int num_subcores) : num_subcores_(num_subcores) {}
 
   std::uint32_t& op_ids() { return op_ids_; }
+  FillStats& fills() { return fills_; }
 
   /// Named flag arrays, created on first use (all sub-cores must agree on
   /// the size).
@@ -78,6 +88,7 @@ class LaunchShared {
   std::uint32_t generation_ = 0;
   std::uint32_t op_ids_ = 1;
   bool poisoned_ = false;
+  FillStats fills_;
   std::map<std::string, std::unique_ptr<CrossFlags>> flags_;
 };
 
@@ -118,6 +129,15 @@ class KernelContext {
   /// Bump-allocates `bytes` in the physical buffer backing `pos`,
   /// enforcing the hardware capacities. 32-byte aligned like the UB.
   std::byte* arena_alloc(TPosition pos, std::size_t bytes);
+
+  // --- Deferred constant fills (used by the intrinsics layer) ----------------
+  /// Records on `st` that `bytes` bytes of an immutable GM constant at `src`
+  /// belong at `dst`, without copying them. Any fill already pending on
+  /// `st` must have been materialised first.
+  void defer_fill(BufferState& st, std::byte* dst, const std::byte* src,
+                  std::size_t bytes);
+  /// Copies the fill pending on `st` into place and clears it.
+  void materialize_fill(BufferState& st);
 
   // --- Trace helpers (used by the intrinsics layer) ---------------------------
   /// Records a fixed-duration op. Hazard edges: deps on last_write of every

@@ -44,12 +44,14 @@ class GlobalBuffer {
     if (this != &o) {
       release_vaddr();
       data_ = o.data_;
+      immutable_ = false;
       acquire_vaddr();
     }
     return *this;
   }
   GlobalBuffer(GlobalBuffer&& o) noexcept
-      : data_(std::move(o.data_)), vaddr_(o.vaddr_), vbytes_(o.vbytes_) {
+      : data_(std::move(o.data_)), vaddr_(o.vaddr_), vbytes_(o.vbytes_),
+        immutable_(o.immutable_) {
     o.vaddr_ = 0;
     o.vbytes_ = 0;
   }
@@ -59,6 +61,7 @@ class GlobalBuffer {
       data_ = std::move(o.data_);
       vaddr_ = o.vaddr_;
       vbytes_ = o.vbytes_;
+      immutable_ = o.immutable_;
       o.vaddr_ = 0;
       o.vbytes_ = 0;
     }
@@ -72,6 +75,12 @@ class GlobalBuffer {
   const T& operator[](std::size_t i) const { return data_[i]; }
 
   GlobalTensor<T> tensor();
+
+  /// Marks the buffer as a constant for the kernels that read it: its
+  /// tensors are immutable views, every GM-writing intrinsic rejects them,
+  /// and a cube core may defer copying them into L1/L0B until first use.
+  /// Copies of the buffer are ordinary mutable buffers.
+  void make_immutable() { immutable_ = true; }
 
   std::vector<T>& host() { return data_; }
   const std::vector<T>& host() const { return data_; }
@@ -94,6 +103,7 @@ class GlobalBuffer {
   std::vector<T> data_;
   std::uint64_t vaddr_ = 0;   ///< virtual GM address (L2 model key)
   std::size_t vbytes_ = 0;    ///< bytes vaddr_ was acquired for
+  bool immutable_ = false;
 };
 
 class Device {

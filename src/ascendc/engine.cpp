@@ -114,6 +114,9 @@ sim::Report LaunchEngine::time_lease(ContextLease& lease, LaunchShared& shared,
     trace_.is_cube_subcore[s] = lease[s].is_cube();
   }
   trace_.max_op_id = shared.op_ids() - 1;
+  fill_stats_.deferred += shared.fills().deferred;
+  fill_stats_.materialized += shared.fills().materialized;
+  fill_stats_.materialized_bytes += shared.fills().materialized_bytes;
 
   // Canonical op ids. The shared counter hands ids out in the order the
   // fibers ran, which is deterministic but not (sub-core, position) order.

@@ -44,6 +44,8 @@ class LaunchEngine {
   const sim::TimingCache::Stats& cache_stats() const { return cache_.stats(); }
   /// Discrete-event replays executed (cache hits don't count).
   std::uint64_t replays() const { return replays_; }
+  /// Deferred constant fills over every timed launch of this engine.
+  const FillStats& fill_stats() const { return fill_stats_; }
 
   /// RAII lease over pooled per-sub-core contexts: contexts are taken from
   /// the engine's free lists (or built on first use), reset for the new
@@ -113,6 +115,7 @@ class LaunchEngine {
   sim::SchedScratch scratch_;
   sim::TimingCache cache_;
   std::uint64_t replays_ = 0;
+  FillStats fill_stats_;
   std::vector<std::unique_ptr<KernelContext>> cube_pool_;
   std::vector<std::unique_ptr<KernelContext>> vec_pool_;
   sim::KernelTrace trace_;             ///< reused across launches

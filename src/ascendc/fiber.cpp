@@ -25,6 +25,69 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+// Register-only context switch for x86-64 SysV, after Boost.Context's
+// fcontext. ascan_fiber_switch(&from_sp, to_sp) pushes the callee-saved
+// registers, MXCSR and the x87 control word on the current stack, stores
+// the stack pointer in *from_sp, loads to_sp and pops the same frame off
+// the target stack. Everything else is caller-saved across the call, so
+// this is the whole per-context state; the signal mask is not part of it
+// (glibc swapcontext's rt_sigprocmask syscall per switch is what this
+// replaces). A fresh fiber's first switch returns into ascan_fiber_start,
+// which calls the entry function in r13 with the fiber record in r12; its
+// CFI marks the return address undefined, so unwinders and backtraces stop
+// there instead of walking off the stack.
+extern "C" void ascan_fiber_switch(void** from_sp, void* to_sp);
+extern "C" void ascan_fiber_start();
+asm(R"(
+  .text
+  .p2align 4
+  .globl ascan_fiber_switch
+  .hidden ascan_fiber_switch
+  .type ascan_fiber_switch, @function
+ascan_fiber_switch:
+  .cfi_startproc
+  endbr64
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .cfi_endproc
+  .size ascan_fiber_switch, .-ascan_fiber_switch
+
+  .p2align 4
+  .globl ascan_fiber_start
+  .hidden ascan_fiber_start
+  .type ascan_fiber_start, @function
+ascan_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  endbr64
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size ascan_fiber_start, .-ascan_fiber_start
+)");
+#endif
+
 namespace ascend::acc {
 
 namespace {
@@ -39,10 +102,33 @@ std::size_t page_bytes() {
   return page;
 }
 
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+/// The frame ascan_fiber_switch pops off a stack it switches to; prepare()
+/// builds one at the top of a fresh fiber's stack.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t x87_cw;
+  std::uint16_t pad16;
+  std::uint64_t pad64;
+  void* r15;
+  void* r14;
+  void* r13;  ///< entry function of a fresh fiber
+  void* r12;  ///< its Fiber record
+  void* rbx;
+  void* rbp;
+  void* ret;  ///< ascan_fiber_start for a fresh fiber
+};
+static_assert(sizeof(SwitchFrame) == 72);
+#endif
+
 }  // namespace
 
 struct SubcoreFibers::Fiber {
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+  void* sp = nullptr;  ///< saved stack pointer while switched out
+#else
   ucontext_t ctx{};
+#endif
   SubcoreFibers* owner = nullptr;
   void* map = nullptr;  ///< PROT_NONE guard page, then the stack above it
   int index = 0;
@@ -62,9 +148,11 @@ struct SubcoreFibers::Fiber {
       ::munmap(map, page_bytes() + kStackBytes);
       throw Error("cannot protect a sub-core fiber guard page");
     }
+#ifndef ASCAN_FIBER_REGISTER_SWITCH
     // Once per record, not per launch: getcontext costs a signal-mask
     // syscall, and makecontext only needs an initialised context to reuse.
     ::getcontext(&ctx);
+#endif
 #ifdef ASCAN_FIBER_TSAN
     tsan = __tsan_create_fiber(0);
 #endif
@@ -142,17 +230,37 @@ void SubcoreFibers::prepare(Fiber& f, int index) {
   // A reused stack may still carry redzone poison of its previous frames.
   __asan_unpoison_memory_region(f.stack(), kStackBytes);
 #endif
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+  // The frame sits 16 bytes below the (page-aligned) stack top, so
+  // ascan_fiber_start runs with a 16-byte aligned stack and its call gives
+  // entry() the alignment the ABI promises a callee. A fresh fiber starts
+  // with the launching thread's floating-point control state.
+  auto* fr = reinterpret_cast<SwitchFrame*>(f.stack() + kStackBytes - 16 -
+                                            sizeof(SwitchFrame));
+  *fr = SwitchFrame{};
+  asm volatile("stmxcsr %0" : "=m"(fr->mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fr->x87_cw));
+  fr->r13 = reinterpret_cast<void*>(&SubcoreFibers::entry);
+  fr->r12 = &f;
+  fr->ret = reinterpret_cast<void*>(&ascan_fiber_start);
+  f.sp = fr;
+#else
   f.ctx.uc_stack.ss_sp = f.stack();
   f.ctx.uc_stack.ss_size = kStackBytes;
   f.ctx.uc_link = nullptr;  // entry() switches back itself, never returns
   // makecontext passes int arguments only: split the record's address.
   const auto addr = reinterpret_cast<std::uintptr_t>(&f);
-  ::makecontext(&f.ctx, reinterpret_cast<void (*)()>(&SubcoreFibers::entry),
+  ::makecontext(&f.ctx,
+                reinterpret_cast<void (*)()>(+[](unsigned lo, unsigned hi) {
+                  entry(reinterpret_cast<Fiber*>(
+                      (std::uintptr_t{hi} << 32) | lo));
+                }),
                 2, unsigned(addr), unsigned(addr >> 32));
+#endif
 }
 
-void SubcoreFibers::entry(unsigned lo, unsigned hi) {
-  Fiber& f = *reinterpret_cast<Fiber*>((std::uintptr_t{hi} << 32) | lo);
+void SubcoreFibers::entry(Fiber* fp) noexcept {
+  Fiber& f = *fp;
   SubcoreFibers& self = *f.owner;
 #ifdef ASCAN_FIBER_ASAN
   __sanitizer_finish_switch_fiber(nullptr, &self.main_stack_bottom_,
@@ -172,7 +280,11 @@ void SubcoreFibers::resume(Fiber& f) {
 #ifdef ASCAN_FIBER_TSAN
   __tsan_switch_to_fiber(f.tsan, 0);
 #endif
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+  ascan_fiber_switch(&main_sp_, f.sp);
+#else
   ::swapcontext(&main_, &f.ctx);
+#endif
 #ifdef ASCAN_FIBER_ASAN
   __sanitizer_finish_switch_fiber(main_fake_stack, nullptr, nullptr);
 #endif
@@ -190,7 +302,11 @@ void SubcoreFibers::switch_to_main(Fiber& f, bool exiting) {
 #ifdef ASCAN_FIBER_TSAN
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+  ascan_fiber_switch(&f.sp, main_sp_);
+#else
   ::swapcontext(&f.ctx, &main_);
+#endif
   // Resumed by the scheduler (a finished fiber never is).
 #ifdef ASCAN_FIBER_ASAN
   __sanitizer_finish_switch_fiber(f.fake_stack, &main_stack_bottom_,

@@ -3,7 +3,9 @@
 // The paper's kernels are barrier-phased by construction: sub-cores meet at
 // SyncAll or hand tiles over through cross-core flags, and the functional
 // pass only needs them to take turns at those points. So every sub-core body
-// runs as a stackful ucontext fiber on the thread that calls acc::launch.
+// runs as a stackful fiber on the thread that calls acc::launch. On x86-64
+// SysV a switch saves and restores registers only (no syscall); other ABIs
+// fall back to glibc ucontext.
 // Fibers start in sub-core order; each runs until it finishes or parks on a
 // wait (LaunchShared::park); parked fibers whose wait is satisfied resume
 // round-robin in sub-core order. A launch costs no host thread, and its
@@ -15,7 +17,11 @@
 // blocked sub-core and what it waits on.
 #pragma once
 
+#if defined(__x86_64__) && defined(__unix__)
+#define ASCAN_FIBER_REGISTER_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -61,15 +67,18 @@ class SubcoreFibers {
  private:
   struct Fiber;
 
-  static void entry(unsigned lo, unsigned hi);
+  static void entry(Fiber* f) noexcept;
   void prepare(Fiber& f, int index);
   void resume(Fiber& f);
   void switch_to_main(Fiber& f, bool exiting);
   std::string deadlock_report(std::size_t n) const;
 
-  /// Stable addresses: a glibc ucontext_t points into itself.
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  ucontext_t main_{};
+#ifdef ASCAN_FIBER_REGISTER_SWITCH
+  void* main_sp_ = nullptr;  ///< launching thread's stack pointer while a fiber runs
+#else
+  ucontext_t main_{};  ///< points into itself: SubcoreFibers never moves
+#endif
   const std::function<void(int)>* body_ = nullptr;
   Fiber* current_ = nullptr;
   // Sanitizer bookkeeping for switches back to the launching thread's stack.

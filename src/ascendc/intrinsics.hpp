@@ -5,7 +5,9 @@
 //
 // Every intrinsic executes its functional semantics eagerly on the host
 // copies of GM/UB/L0 and records one timed op on the issuing sub-core's
-// trace. Cost formulas live in this header next to each instruction so the
+// trace. The one exception is a constant staged into L1/L0B: its bytes are
+// copied when a cube instruction first uses them (see DataCopy), while its
+// trace op is recorded as usual. Cost formulas live in this header next to each instruction so the
 // model is auditable in one place; the constants come from
 // sim::MachineConfig (see the calibration note there).
 #pragma once
@@ -156,19 +158,50 @@ inline std::size_t count_nonzero(const std::int8_t* m, std::size_t n) {
   return cnt;
 }
 
+/// Copies the constant fill pending on t's slot into place, if any. Every
+/// intrinsic that can read or write a B1/B2 slot calls this first, except
+/// for the loads that defer or forward the fill (DataCopy, DataCopyLocal).
+template <typename T>
+void materialize(KernelContext& ctx, const LocalTensor<T>& t) {
+  BufferState* st = t.state();
+  if (st != nullptr && st->fill_bytes != 0) ctx.materialize_fill(*st);
+}
+
+template <typename T>
+void check_gm_writable(const GlobalTensor<T>& dst, const char* what) {
+  ASCAN_CHECK(!dst.immutable(),
+              what << " writes into an immutable constant GM buffer");
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
 // DataCopy: GM <-> local scratchpads (MTE2 / MTE3), local <-> local (MTE1)
 
 /// GM -> local (MTE2).
+///
+/// Deferred constant fills: every cube core stages U_s / L_s^- / 1_s into
+/// L1 and L0B whether or not it gets a tile. When the source is an
+/// immutable constant and the destination a B1/B2 slot, the copy is only
+/// recorded on the slot (BufferState::fill_*) and performed by the first
+/// intrinsic that reads or overwrites the slot; the trace op, and so the
+/// simulated cost, is the same either way. Immutability makes this exact:
+/// no kernel can change the source before the copy happens.
 template <typename T>
 void DataCopy(KernelContext& ctx, const LocalTensor<T>& dst,
               const GlobalTensor<T>& src, std::size_t n) {
   ASCAN_CHECK(n <= dst.size() && n <= src.size(),
               "DataCopy overflow: n=" << n << " dst=" << dst.size()
                                       << " src=" << src.size());
-  std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  detail::materialize(ctx, dst);
+  if (src.immutable() && dst.state() != nullptr &&
+      (dst.position() == TPosition::B1 || dst.position() == TPosition::B2)) {
+    ctx.defer_fill(*dst.state(), reinterpret_cast<std::byte*>(dst.data()),
+                   reinterpret_cast<const std::byte*>(src.data()),
+                   n * sizeof(T));
+  } else {
+    std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  }
   ctx.record_transfer(sim::EngineKind::Mte2, n * sizeof(T), src.gm_addr(),
                       /*gm_write=*/false, "datacopy.in", nullptr, dst.state());
 }
@@ -180,17 +213,33 @@ void DataCopy(KernelContext& ctx, const GlobalTensor<T>& dst,
   ASCAN_CHECK(n <= dst.size() && n <= src.size(),
               "DataCopy overflow: n=" << n << " dst=" << dst.size()
                                       << " src=" << src.size());
+  detail::check_gm_writable(dst, "DataCopy");
+  detail::materialize(ctx, src);
   std::memcpy(dst.data(), src.data(), n * sizeof(T));
   ctx.record_transfer(sim::EngineKind::Mte3, n * sizeof(T), dst.gm_addr(),
                       /*gm_write=*/true, "datacopy.out", src.state(), nullptr);
 }
 
-/// Local -> local (MTE1: L1 <-> L0, or UB staging moves).
+/// Local -> local (MTE1: L1 <-> L0, or UB staging moves). A load into L0B
+/// of a range whose constant fill is still pending forwards the fill to
+/// the L0B slot instead of copying (see DataCopy GM -> local).
 template <typename T>
 void DataCopyLocal(KernelContext& ctx, const LocalTensor<T>& dst,
                    const LocalTensor<T>& src, std::size_t n) {
   ASCAN_CHECK(n <= dst.size() && n <= src.size(), "DataCopyLocal overflow");
-  std::memcpy(dst.data(), src.data(), n * sizeof(T));
+  detail::materialize(ctx, dst);
+  const BufferState* from = src.state();
+  const auto* s = reinterpret_cast<const std::byte*>(src.data());
+  const std::size_t bytes = n * sizeof(T);
+  if (dst.position() == TPosition::B2 && dst.state() != nullptr &&
+      from != nullptr && from->fill_bytes != 0 && s >= from->fill_dst &&
+      s + bytes <= from->fill_dst + from->fill_bytes) {
+    ctx.defer_fill(*dst.state(), reinterpret_cast<std::byte*>(dst.data()),
+                   from->fill_src + (s - from->fill_dst), bytes);
+  } else {
+    detail::materialize(ctx, src);
+    std::memcpy(dst.data(), src.data(), bytes);
+  }
   ctx.record_compute(sim::EngineKind::Mte1,
                      detail::local_copy_cycles(ctx.cfg(), n * sizeof(T)),
                      "datacopy.local", {src.state()}, {dst.state()});
@@ -213,6 +262,7 @@ void DataCopy2D(KernelContext& ctx, const LocalTensor<T>& dst,
               "DataCopy2D dst overflow");
   ASCAN_CHECK((p.block_count - 1) * src_stride + p.block_len <= src.size(),
               "DataCopy2D src overflow");
+  detail::materialize(ctx, dst);
   for (std::size_t r = 0; r < p.block_count; ++r) {
     std::memcpy(dst.data() + r * dst_stride, src.data() + r * src_stride,
                 p.block_len * sizeof(T));
@@ -231,6 +281,8 @@ void DataCopy2D(KernelContext& ctx, const GlobalTensor<T>& dst,
               "DataCopy2D src overflow");
   ASCAN_CHECK((p.block_count - 1) * dst_stride + p.block_len <= dst.size(),
               "DataCopy2D dst overflow");
+  detail::check_gm_writable(dst, "DataCopy2D");
+  detail::materialize(ctx, src);
   for (std::size_t r = 0; r < p.block_count; ++r) {
     std::memcpy(dst.data() + r * dst_stride, src.data() + r * src_stride,
                 p.block_len * sizeof(T));
@@ -271,6 +323,8 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   ASCAN_CHECK(c.position() == TPosition::CO1, "Mmad C operand must be in L0C");
   ASCAN_CHECK(M * K <= a.size() && K * N <= b.size() && M * N <= c.size(),
               "Mmad shape exceeds operand tiles");
+  detail::materialize(ctx, a);
+  detail::materialize(ctx, b);
 
   // Widen the A tile once instead of converting elements inside the MAC
   // loop. Float arithmetic then runs as pure mul+add, exactly the per-lane
@@ -373,6 +427,7 @@ void Fixpipe(KernelContext& ctx, const GlobalTensor<Out>& dst,
   ASCAN_CHECK(ctx.is_cube(), "Fixpipe runs on the cube core");
   ASCAN_CHECK(src.position() == TPosition::CO1, "Fixpipe source must be L0C");
   ASCAN_CHECK(n <= dst.size() && n <= src.size(), "Fixpipe overflow");
+  detail::check_gm_writable(dst, "Fixpipe");
   if constexpr (std::is_same_v<Out, half> && std::is_same_v<Acc, float>) {
     float_to_half_n(src.data(), dst.data(), n);
   } else {
@@ -395,6 +450,7 @@ void FixpipeLocal(KernelContext& ctx, const LocalTensor<Out>& dst_l1,
                   dst_l1.position() == TPosition::B1,
               "FixpipeLocal destination must be in L1");
   ASCAN_CHECK(n <= dst_l1.size() && n <= src.size(), "FixpipeLocal overflow");
+  detail::materialize(ctx, dst_l1);
   if constexpr (std::is_same_v<Out, half> && std::is_same_v<Acc, float>) {
     float_to_half_n(src.data(), dst_l1.data(), n);
   } else {
@@ -417,6 +473,7 @@ template <typename T>
 void InitConstValue(KernelContext& ctx, const LocalTensor<T>& dst, T value,
                     std::size_t n) {
   ASCAN_CHECK(n <= dst.size(), "InitConstValue overflow");
+  detail::materialize(ctx, dst);
   unsigned char pattern[sizeof(T)];
   std::memcpy(pattern, &value, sizeof(T));
   bool uniform = true;
@@ -444,6 +501,7 @@ void InitConstValue(KernelContext& ctx, const LocalTensor<T>& dst, T value,
 template <typename T>
 T GetValue(KernelContext& ctx, const LocalTensor<T>& t, std::size_t i) {
   ASCAN_CHECK(i < t.size(), "GetValue out of range");
+  detail::materialize(ctx, t);
   const std::uint32_t id =
       ctx.record_compute(sim::EngineKind::Scalar, ctx.cfg().scalar_read_cycles,
                          "get_value", {t.state()}, {});
@@ -455,6 +513,7 @@ template <typename T>
 void SetValue(KernelContext& ctx, const LocalTensor<T>& t, std::size_t i,
               T value) {
   ASCAN_CHECK(i < t.size(), "SetValue out of range");
+  detail::materialize(ctx, t);
   t.data()[i] = value;
   ctx.record_compute(sim::EngineKind::Scalar, ctx.cfg().scalar_op_cycles,
                      "set_value", {}, {t.state()});
@@ -889,7 +948,8 @@ void Sort32(KernelContext& ctx, const LocalTensor<K>& keys,
             const LocalTensor<std::int32_t>& idx, std::size_t n);
 
 /// Merges two sorted (key, index) runs into dst (stable, a before b on
-/// ties) — the MrgSort step of the baseline sort.
+/// ties) — the MrgSort step of the baseline sort. The runs must be sorted
+/// under `<` (no NaN keys).
 template <typename K>
 void MergeSorted(KernelContext& ctx, const LocalTensor<K>& dst_keys,
                  const LocalTensor<std::int32_t>& dst_idx,
@@ -938,24 +998,55 @@ void MergeSorted(KernelContext& ctx, const LocalTensor<K>& dst_keys,
   ASCAN_CHECK(ctx.is_vector(), "MergeSorted runs on a vector core");
   ASCAN_CHECK(na + nb <= dst_keys.size() && na + nb <= dst_idx.size(),
               "MergeSorted overflow");
+  const K* ak = a_keys.data();
+  const K* bk = b_keys.data();
+  const std::int32_t* ai = a_idx.data();
+  const std::int32_t* bi = b_idx.data();
+  K* dk = dst_keys.data();
+  std::int32_t* di = dst_idx.data();
+  // Branch-free: random keys make a taken/not-taken branch per element
+  // unpredictable, so each step selects with the comparison flag and
+  // advances both cursors arithmetically (ties take a, keeping the merge
+  // stable). A step's loads depend on the previous step's compare, so two
+  // independent chains run at once: the front one emits the smallest
+  // elements from the heads, the back one the largest from the tails (ties
+  // take b there). Each reads only unconsumed in-bounds elements, so the
+  // output is exactly the one-ended merge's.
   std::size_t i = 0, j = 0, o = 0;
-  while (i < na && j < nb) {
-    if (b_keys.data()[j] < a_keys.data()[i]) {
-      dst_keys.data()[o] = b_keys.data()[j];
-      dst_idx.data()[o++] = b_idx.data()[j++];
-    } else {
-      dst_keys.data()[o] = a_keys.data()[i];
-      dst_idx.data()[o++] = a_idx.data()[i++];
-    }
+  std::size_t ie = na, je = nb, oe = na + nb;
+  while (i < na && j < nb && ie > 0 && je > 0 && o + 1 < oe) {
+    const K fa = ak[i], fb = bk[j];
+    const std::int32_t fia = ai[i], fib = bi[j];
+    const bool take_b = fb < fa;
+    dk[o] = take_b ? fb : fa;
+    di[o] = take_b ? fib : fia;
+    ++o;
+    i += !take_b;
+    j += take_b;
+    const K la = ak[ie - 1], lb = bk[je - 1];
+    const std::int32_t lia = ai[ie - 1], lib = bi[je - 1];
+    const bool back_a = lb < la;
+    --oe;
+    dk[oe] = back_a ? la : lb;
+    di[oe] = back_a ? lia : lib;
+    ie -= back_a;
+    je -= !back_a;
   }
-  while (i < na) {
-    dst_keys.data()[o] = a_keys.data()[i];
-    dst_idx.data()[o++] = a_idx.data()[i++];
+  while (i < ie && j < je) {
+    const K fa = ak[i], fb = bk[j];
+    const std::int32_t fia = ai[i], fib = bi[j];
+    const bool take_b = fb < fa;
+    dk[o] = take_b ? fb : fa;
+    di[o] = take_b ? fib : fia;
+    ++o;
+    i += !take_b;
+    j += take_b;
   }
-  while (j < nb) {
-    dst_keys.data()[o] = b_keys.data()[j];
-    dst_idx.data()[o++] = b_idx.data()[j++];
-  }
+  std::copy(ak + i, ak + ie, dk + o);
+  std::copy(ai + i, ai + ie, di + o);
+  o += ie - i;
+  std::copy(bk + j, bk + je, dk + o);
+  std::copy(bi + j, bi + je, di + o);
   ctx.record_compute(
       sim::EngineKind::Compute,
       ctx.cfg().vec_issue_cycles +

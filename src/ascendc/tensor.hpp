@@ -45,10 +45,16 @@ constexpr const char* tposition_name(TPosition p) {
   return "?";
 }
 
-/// Hazard-tracking state of one physical buffer slot.
+/// Hazard-tracking state of one physical buffer slot, plus its deferred
+/// constant fill: `fill_bytes` bytes of an immutable GM constant at
+/// `fill_src` that belong at `fill_dst` but are not copied yet (B1/B2 slots
+/// only; see DataCopy in intrinsics.hpp). `fill_bytes == 0`: none pending.
 struct BufferState {
   std::uint32_t last_write_op = 0;
   std::uint32_t last_read_op = 0;
+  std::byte* fill_dst = nullptr;
+  const std::byte* fill_src = nullptr;
+  std::size_t fill_bytes = 0;
 };
 
 template <typename T>
@@ -57,27 +63,33 @@ class GlobalTensor {
   GlobalTensor() = default;
   /// `vaddr` is the deterministic virtual GM address of `data` (see
   /// gm_space.hpp); it defaults to the host address only for ad-hoc views
-  /// not backed by a GlobalBuffer.
-  GlobalTensor(T* data, std::size_t n, std::uint64_t vaddr = 0)
+  /// not backed by a GlobalBuffer. An `immutable` view is of a constant no
+  /// kernel may write (GlobalBuffer::make_immutable).
+  GlobalTensor(T* data, std::size_t n, std::uint64_t vaddr = 0,
+               bool immutable = false)
       : data_(data), size_(n),
-        vaddr_(vaddr != 0 ? vaddr : reinterpret_cast<std::uint64_t>(data)) {}
+        vaddr_(vaddr != 0 ? vaddr : reinterpret_cast<std::uint64_t>(data)),
+        immutable_(immutable) {}
 
   void SetGlobalBuffer(T* data, std::size_t n) {
     data_ = data;
     size_ = n;
     vaddr_ = reinterpret_cast<std::uint64_t>(data);
+    immutable_ = false;
   }
 
   T* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
+  bool immutable() const { return immutable_; }
 
   /// Sub-view starting at `offset` with `n` elements.
   GlobalTensor sub(std::size_t offset, std::size_t n) const {
     ASCAN_ASSERT(offset + n <= size_, "GlobalTensor slice out of range: off="
                                           << offset << " n=" << n
                                           << " size=" << size_);
-    return GlobalTensor(data_ + offset, n, vaddr_ + offset * sizeof(T));
+    return GlobalTensor(data_ + offset, n, vaddr_ + offset * sizeof(T),
+                        immutable_);
   }
   GlobalTensor operator[](std::size_t offset) const {
     return sub(offset, size_ - offset);
@@ -91,18 +103,19 @@ class GlobalTensor {
   template <typename U>
   GlobalTensor<U> reinterpret() const {
     return GlobalTensor<U>(reinterpret_cast<U*>(data_),
-                           size_ * sizeof(T) / sizeof(U), vaddr_);
+                           size_ * sizeof(T) / sizeof(U), vaddr_, immutable_);
   }
 
  private:
   T* data_ = nullptr;
   std::size_t size_ = 0;
   std::uint64_t vaddr_ = 0;
+  bool immutable_ = false;
 };
 
 template <typename T>
 GlobalTensor<T> GlobalBuffer<T>::tensor() {
-  return GlobalTensor<T>(data_.data(), data_.size(), vaddr_);
+  return GlobalTensor<T>(data_.data(), data_.size(), vaddr_, immutable_);
 }
 
 template <typename T>

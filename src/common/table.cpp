@@ -25,11 +25,13 @@ Table& Table::add_row(std::vector<Cell> cells) {
 
 namespace {
 std::string cell_to_string(const Table::Cell& c, int precision) {
-  if (const auto* s = std::get_if<std::string>(&c)) return *s;
-  if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
-  const double d = std::get<double>(c);
+  switch (c.kind) {
+    case Table::Cell::Kind::Text: return c.text;
+    case Table::Cell::Kind::Int: return std::to_string(c.integer);
+    case Table::Cell::Kind::Real: break;
+  }
   std::ostringstream os;
-  os << std::setprecision(precision) << d;
+  os << std::setprecision(precision) << c.real;
   return os.str();
 }
 }  // namespace

@@ -2,9 +2,11 @@
 // and series of each paper figure in a stable, diffable format.
 #pragma once
 
+#include <concepts>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 namespace ascend {
@@ -13,7 +15,22 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers);
 
-  using Cell = std::variant<std::string, double, std::int64_t>;
+  /// One cell: text, a real (printed with the table's precision) or an
+  /// integer. A plain tagged struct: as std::variant<std::string, ...> the
+  /// string alternative tripped GCC's -Wmaybe-uninitialized whenever a row
+  /// was built from an initializer list.
+  struct Cell {
+    Cell(std::string s) : text(std::move(s)) {}
+    Cell(const char* s) : text(s) {}
+    Cell(double d) : kind(Kind::Real), real(d) {}
+    template <std::integral I>
+    Cell(I i) : kind(Kind::Int), integer(static_cast<std::int64_t>(i)) {}
+
+    enum class Kind { Text, Real, Int } kind = Kind::Text;
+    std::string text;
+    double real = 0;
+    std::int64_t integer = 0;
+  };
 
   Table& add_row(std::vector<Cell> cells);
 

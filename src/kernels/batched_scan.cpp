@@ -41,7 +41,7 @@ sim::Report batched_scan_u(Device& dev, GlobalTensor<half> x,
   const int blocks = opt.blocks > 0 ? opt.blocks : cfg.num_ai_cores;
   const int vpc = cfg.vec_per_core;
 
-  auto upper = dev.upload(make_upper_ones<half>(s));
+  auto upper = upload_constant<half>(dev, ConstMatrix::UpperOnes, s);
   auto u_gm = upper.tensor();
 
   const std::size_t l = s * s;

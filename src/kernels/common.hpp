@@ -6,6 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "ascendc/ascendc.hpp"
@@ -48,9 +51,43 @@ std::vector<T> make_all_ones(std::size_t s) {
   return std::vector<T>(s * s, T(1));
 }
 
-/// Device-resident constant matrices for a given tile size, allocated once
-/// per operator invocation (mirrors the static pre-allocation in the
-/// paper's PyTorch integration).
+enum class ConstMatrix { UpperOnes, StrictLowerOnes, AllOnes };
+
+/// Host copy of a constant matrix, built once per (T, which, s) for the
+/// whole process: building U_s element by element costs more than copying
+/// it. Thread-safe; the returned vector is never modified or freed.
+template <typename T>
+const std::vector<T>& constant_matrix(ConstMatrix which, std::size_t s) {
+  static std::mutex mu;
+  static std::map<std::pair<ConstMatrix, std::size_t>, std::vector<T>> cache;
+  std::lock_guard<std::mutex> lk(mu);
+  auto [it, inserted] = cache.try_emplace({which, s});
+  if (inserted) {
+    switch (which) {
+      case ConstMatrix::UpperOnes: it->second = make_upper_ones<T>(s); break;
+      case ConstMatrix::StrictLowerOnes:
+        it->second = make_strict_lower_ones<T>(s);
+        break;
+      case ConstMatrix::AllOnes: it->second = make_all_ones<T>(s); break;
+    }
+  }
+  return it->second;
+}
+
+/// Uploads a constant matrix for one operator invocation as an immutable GM
+/// buffer (mirrors the static pre-allocation in the paper's PyTorch
+/// integration). Immutable, cube cores stage it into L1/L0B lazily: only a
+/// core that multiplies by it pays the host copy (see acc::DataCopy).
+template <typename T>
+acc::GlobalBuffer<T> upload_constant(acc::Device& dev, ConstMatrix which,
+                                     std::size_t s) {
+  acc::GlobalBuffer<T> buf = dev.upload(constant_matrix<T>(which, s));
+  buf.make_immutable();
+  return buf;
+}
+
+/// Device-resident constant matrices for a given tile size, uploaded once
+/// per operator invocation.
 template <typename T>
 struct ScanConstants {
   acc::GlobalBuffer<T> upper;        // U_s
@@ -59,9 +96,9 @@ struct ScanConstants {
 
   static ScanConstants make(acc::Device& dev, std::size_t s) {
     ScanConstants c;
-    c.upper = dev.upload(make_upper_ones<T>(s));
-    c.strict_lower = dev.upload(make_strict_lower_ones<T>(s));
-    c.ones = dev.upload(make_all_ones<T>(s));
+    c.upper = upload_constant<T>(dev, ConstMatrix::UpperOnes, s);
+    c.strict_lower = upload_constant<T>(dev, ConstMatrix::StrictLowerOnes, s);
+    c.ones = upload_constant<T>(dev, ConstMatrix::AllOnes, s);
     return c;
   }
 };

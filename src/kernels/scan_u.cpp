@@ -18,7 +18,7 @@ sim::Report scan_u(Device& dev, GlobalTensor<half> x, GlobalTensor<half> y,
   }
 
   // Host-side static pre-allocation of U_s (paper §6.1).
-  auto upper = dev.upload(make_upper_ones<half>(s));
+  auto upper = upload_constant<half>(dev, ConstMatrix::UpperOnes, s);
   auto u_gm = upper.tensor();
 
   const std::size_t l = s * s;

@@ -6,13 +6,21 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 #include <gtest/gtest.h>
 
 #include "core/ascan.hpp"
+#include "kernels/batched_scan.hpp"
 #include "kernels/copy_kernel.hpp"
+#include "kernels/reference.hpp"
 #include "kernels/scan_strategies.hpp"
 #include "kernels/vec_cumsum.hpp"
 #include "test_helpers.hpp"
@@ -193,6 +201,100 @@ sim::Report run_family(const std::string& name) {
   if (name == "reduce_vector") return s.reduce(x, false).report;
   ADD_FAILURE() << "unknown family " << name;
   return {};
+}
+
+// ---------------------------------------------------------------------------
+// Fiber switch.
+
+/// Sub-core index within a one-block MIX launch: 0 = cube, 1.. = vector.
+int mix_subcore(const acc::KernelContext& c) {
+  return c.is_cube() ? 0 : 1 + c.GetSubBlockIdx();
+}
+
+#if defined(__x86_64__)
+TEST(Executor, FloatingPointControlStateStaysWithItsFiber) {
+  // Sub-core 0 switches MXCSR to round-toward-zero, then parks while its
+  // siblings run: they must start from and keep the launching thread's
+  // state, sub-core 0 must find its own again on resume, and the launching
+  // thread must get its own back when the launch returns.
+  constexpr unsigned kRoundingBits = 0x6000;  // MXCSR RC field
+  // Control bits only: the low six are sticky exception flags that any
+  // inexact operation sets.
+  const auto control = [] { return _mm_getcsr() & ~0x3fu; };
+  const unsigned main_csr = control();
+  acc::Device dev(sim::MachineConfig::single_core());
+  std::vector<unsigned> before(3), after(3);
+  acc::launch(dev, {.block_dim = 1, .mode = acc::LaunchMode::Mix},
+              [&](acc::KernelContext& c) {
+    const int s = mix_subcore(c);
+    if (s == 0) _mm_setcsr(_mm_getcsr() | kRoundingBits);
+    before[s] = control();
+    c.SyncAll();
+    after[s] = control();
+  });
+  EXPECT_EQ(control(), main_csr);
+  EXPECT_EQ(before[0], main_csr | kRoundingBits);
+  EXPECT_EQ(after[0], main_csr | kRoundingBits);
+  for (int s = 1; s < 3; ++s) {
+    EXPECT_EQ(before[s], main_csr) << s;
+    EXPECT_EQ(after[s], main_csr) << s;
+  }
+}
+#endif
+
+[[noreturn]] void throw_for(int subcore) {
+  throw std::runtime_error("sub-core " + std::to_string(subcore));
+}
+
+TEST(Executor, ExceptionThrownAndCaughtInsideFiberAcrossPark) {
+  // Each sub-core parks with a try block and a destructor-bearing local
+  // live, then throws from a nested frame after resuming: the unwinder must
+  // walk the fiber's own stack, run the destructor and reach the handler.
+  acc::Device dev(sim::MachineConfig::single_core());
+  std::vector<int> handled(3, 0);
+  acc::launch(dev, {.block_dim = 1, .mode = acc::LaunchMode::Mix},
+              [&](acc::KernelContext& c) {
+    const int s = mix_subcore(c);
+    struct CountsUnwind {
+      int& n;
+      ~CountsUnwind() { ++n; }
+    };
+    int unwound = 0;
+    try {
+      CountsUnwind guard{unwound};
+      c.SyncAll();
+      throw_for(s);
+    } catch (const std::runtime_error& e) {
+      handled[s] = unwound == 1 && e.what() == "sub-core " + std::to_string(s);
+    }
+    c.SyncAll();  // siblings still meet after every handler ran
+  });
+  EXPECT_EQ(handled, std::vector<int>(3, 1));
+}
+
+// ---------------------------------------------------------------------------
+// Deferred constant fills.
+
+TEST(Executor, BatchOneScanCopiesUsOnceNotPerCubeCore) {
+  // All 20 cube cores stage U_s into L1 and L0B (40 trace copies), but only
+  // the core that owns the single row multiplies by it: the host copies
+  // one 32 KiB tile. The values are still the reference scan.
+  acc::Device dev;
+  const std::size_t len = 256, s = 128;
+  const auto row = testing::exact_scan_workload(len, 3);
+  auto x = dev.upload(row);
+  auto y = dev.alloc<half>(len);
+  kernels::batched_scan_u(dev, x.tensor(), y.tensor(), 1, len, {.s = s});
+  const acc::FillStats& f = dev.engine().fill_stats();
+  EXPECT_EQ(f.deferred, 2u * dev.config().num_ai_cores);
+  EXPECT_EQ(f.materialized, 1u);
+  EXPECT_EQ(f.materialized_bytes, s * s * sizeof(half));
+  const auto want =
+      ref::batched_inclusive_scan<half, half>(std::span<const half>(row), 1,
+                                              len);
+  for (std::size_t i = 0; i < len; ++i) {
+    ASSERT_EQ(float(y[i]), float(want[i])) << i;
+  }
 }
 
 TEST(Executor, GoldenReportsPinnedBitForBit) {

@@ -1,7 +1,9 @@
 // Functional tests for the intrinsic instruction set (vector, cube, copy).
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -428,6 +430,69 @@ TEST(Intrinsics, MergeSortedIsStable) {
   });
 }
 
+// MergeSorted against std::merge (stable: a before b on equal keys) over
+// random keys, all-equal keys, empty runs and runs of length 1.
+TEST(Intrinsics, MergeSortedMatchesStdMerge) {
+  struct Case {
+    std::size_t na, nb;
+    std::uint16_t key_range;  ///< keys drawn from [0, key_range)
+  };
+  const Case cases[] = {{257, 300, 1000}, {100, 80, 1}, {0, 50, 7},
+                        {50, 0, 7},       {0, 0, 7},    {1, 1, 1},
+                        {1, 64, 16},      {64, 1, 16},  {1, 1, 1000}};
+  Rng rng(42);
+  for (const Case& cs : cases) {
+    using Item = std::pair<std::uint16_t, std::int32_t>;
+    std::vector<Item> a(cs.na), b(cs.nb);
+    for (std::size_t i = 0; i < cs.na; ++i) {
+      a[i] = {static_cast<std::uint16_t>(rng.next_u64() % cs.key_range),
+              static_cast<std::int32_t>(i)};
+    }
+    for (std::size_t j = 0; j < cs.nb; ++j) {
+      b[j] = {static_cast<std::uint16_t>(rng.next_u64() % cs.key_range),
+              static_cast<std::int32_t>(10000 + j)};
+    }
+    const auto by_key = [](const Item& x, const Item& y) {
+      return x.first < y.first;
+    };
+    std::stable_sort(a.begin(), a.end(), by_key);
+    std::stable_sort(b.begin(), b.end(), by_key);
+    std::vector<Item> want;
+    std::merge(a.begin(), a.end(), b.begin(), b.end(),
+               std::back_inserter(want), by_key);
+
+    on_vector_core([&](KernelContext& c) {
+      TPipe pipe(c);
+      TBuf ka(c, TPosition::VECCALC), ia(c, TPosition::VECCALC),
+          kb(c, TPosition::VECCALC), ib(c, TPosition::VECCALC),
+          kd(c, TPosition::VECCALC), id(c, TPosition::VECCALC);
+      for (auto* buf : {&ka, &ia, &kb, &ib, &kd, &id}) {
+        pipe.InitBuffer(*buf, 4096);
+      }
+      auto a_keys = ka.Get<std::uint16_t>();
+      auto a_idx = ia.Get<std::int32_t>();
+      auto b_keys = kb.Get<std::uint16_t>();
+      auto b_idx = ib.Get<std::int32_t>();
+      auto d_keys = kd.Get<std::uint16_t>();
+      auto d_idx = id.Get<std::int32_t>();
+      for (std::size_t i = 0; i < cs.na; ++i) {
+        a_keys[i] = a[i].first;
+        a_idx[i] = a[i].second;
+      }
+      for (std::size_t j = 0; j < cs.nb; ++j) {
+        b_keys[j] = b[j].first;
+        b_idx[j] = b[j].second;
+      }
+      MergeSorted(c, d_keys, d_idx, a_keys, a_idx, cs.na, b_keys, b_idx,
+                  cs.nb);
+      for (std::size_t o = 0; o < want.size(); ++o) {
+        EXPECT_EQ(d_keys[o], want[o].first) << "na=" << cs.na << " o=" << o;
+        EXPECT_EQ(d_idx[o], want[o].second) << "na=" << cs.na << " o=" << o;
+      }
+    });
+  }
+}
+
 TEST(Intrinsics, MmadComputesMatmul) {
   on_cube_core([](KernelContext& c) {
     TPipe pipe(c);
@@ -583,6 +648,123 @@ TEST(Intrinsics, FixpipeCastsF32ToF16) {
     EXPECT_EQ(float(out[static_cast<std::size_t>(i)]),
               static_cast<float>(i) + 0.5f);
   }
+}
+
+// Deferred constant fills: DataCopy of an immutable GM constant into L1/L0B
+// only records the copy; each intrinsic that later touches the slot must
+// see the constant's bytes, and a partial overwrite must keep the rest.
+TEST(Intrinsics, DeferredConstantFillMaterialisesForEveryReader) {
+  Device dev(sim::MachineConfig::single_core());
+  constexpr std::size_t kS = 8, kN = kS * kS;
+  std::vector<half> host(2 * kN);
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    host[i] = half(static_cast<float>(i % 50 + 1));  // never 0: arenas are
+  }                                                   // zero-initialised
+  auto k = dev.upload(host);
+  k.make_immutable();
+  const auto kg = k.tensor();
+  auto out = dev.alloc<half>(4 * kN, half(-1.0f));
+  const auto og = out.tensor();
+
+  launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+         [&](KernelContext& c) {
+    TPipe pipe(c);
+    TBuf l1a(c, TPosition::B1), l1b(c, TPosition::B1), l1c(c, TPosition::B1),
+        a1(c, TPosition::A1), a2(c, TPosition::A2), b2(c, TPosition::B2),
+        co(c, TPosition::CO1);
+    for (auto* buf : {&l1a, &l1b, &l1c, &a1, &a2, &b2}) {
+      pipe.InitBuffer(*buf, 2 * kN * sizeof(half));
+    }
+    pipe.InitBuffer(co, kN * sizeof(float));
+
+    // GetValue reads a pending slot.
+    auto s1 = l1a.Get<half>();
+    DataCopy(c, s1, kg, 2 * kN);
+    EXPECT_EQ(float(GetValue(c, s1, 5)), float(host[5]));
+
+    // Mmad through an L0B fill forwarded from the second half of a pending
+    // L1 slot: I @ B == B.
+    auto s2 = l1b.Get<half>();
+    DataCopy(c, s2, kg, 2 * kN);
+    auto B = b2.Get<half>();
+    LoadData(c, B, s2.sub(kN, kN), kN);
+    auto stage = a1.Get<half>();
+    for (std::size_t i = 0; i < kN; ++i) {
+      stage[i] = half(i / kS == i % kS ? 1.0f : 0.0f);
+    }
+    auto A = a2.Get<half>();
+    LoadData(c, A, stage, kN);
+    auto C = co.Get<float>();
+    Mmad(c, C, A, B, kS, kS, kS, /*accumulate=*/false);
+    for (std::size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(C[i], float(host[kN + i])) << i;
+    }
+
+    // FixpipeLocal overwrites the first half of a pending slot.
+    auto s3 = l1c.Get<half>();
+    DataCopy(c, s3, kg, 2 * kN);
+    FixpipeLocal(c, s3, C, kN);
+    DataCopy(c, og.sub(0, 2 * kN), s3, 2 * kN);
+
+    // InitConstValue zeroes the first quarter of a pending slot.
+    DataCopy(c, s1, kg, 2 * kN);
+    InitConstValue(c, s1, half(0.0f), kN / 2);
+    DataCopy(c, og.sub(2 * kN, 2 * kN), s1, 2 * kN);
+  });
+
+  for (std::size_t i = 0; i < 2 * kN; ++i) {
+    const float fixed = float(host[i < kN ? kN + i : i]);
+    EXPECT_EQ(float(out[i]), fixed) << "FixpipeLocal region " << i;
+    const float zeroed = i < kN / 2 ? 0.0f : float(host[i]);
+    EXPECT_EQ(float(out[2 * kN + i]), zeroed) << "InitConstValue region " << i;
+  }
+  // Four GM loads plus one forward were deferred; GetValue, Mmad,
+  // FixpipeLocal and InitConstValue each materialised one (three whole
+  // 2*kN loads and the kN forward). The L1 copy behind the forward was
+  // never needed.
+  const FillStats& f = dev.engine().fill_stats();
+  EXPECT_EQ(f.deferred, 5u);
+  EXPECT_EQ(f.materialized, 4u);
+  EXPECT_EQ(f.materialized_bytes, 7 * kN * sizeof(half));
+}
+
+TEST(Intrinsics, KernelWritesIntoConstantGmThrow) {
+  Device dev(sim::MachineConfig::single_core());
+  auto k = dev.upload(std::vector<float>(64, 1.0f));
+  k.make_immutable();
+  const auto kg = k.tensor();
+  EXPECT_TRUE(kg.sub(8, 8).reinterpret<std::int32_t>().immutable());
+  EXPECT_FALSE(dev.alloc<float>(64).tensor().immutable());
+
+  EXPECT_THROW(
+      launch(dev, {.block_dim = 1, .mode = LaunchMode::VectorOnly},
+             [&](KernelContext& c) {
+               TPipe pipe(c);
+               TBuf ub(c, TPosition::VECCALC);
+               pipe.InitBuffer(ub, 256);
+               DataCopy(c, kg.sub(0, 16), ub.Get<float>(), 16);
+             }),
+      Error);
+  EXPECT_THROW(
+      launch(dev, {.block_dim = 1, .mode = LaunchMode::VectorOnly},
+             [&](KernelContext& c) {
+               TPipe pipe(c);
+               TBuf ub(c, TPosition::VECCALC);
+               pipe.InitBuffer(ub, 256);
+               DataCopy2D(c, kg, ub.Get<float>(),
+                          {.block_count = 2, .block_len = 4});
+             }),
+      Error);
+  EXPECT_THROW(
+      launch(dev, {.block_dim = 1, .mode = LaunchMode::CubeOnly},
+             [&](KernelContext& c) {
+               TPipe pipe(c);
+               TBuf co(c, TPosition::CO1);
+               pipe.InitBuffer(co, 256);
+               Fixpipe(c, kg, co.Get<float>(), 16);
+             }),
+      Error);
+  for (std::size_t i = 0; i < k.size(); ++i) EXPECT_EQ(k[i], 1.0f) << i;
 }
 
 }  // namespace
