@@ -49,12 +49,19 @@ ascan_fiber_switch:
   .cfi_startproc
   endbr64
   pushq %rbp
+  .cfi_adjust_cfa_offset 8
   pushq %rbx
+  .cfi_adjust_cfa_offset 8
   pushq %r12
+  .cfi_adjust_cfa_offset 8
   pushq %r13
+  .cfi_adjust_cfa_offset 8
   pushq %r14
+  .cfi_adjust_cfa_offset 8
   pushq %r15
+  .cfi_adjust_cfa_offset 8
   subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
   stmxcsr (%rsp)
   fnstcw 4(%rsp)
   movq %rsp, (%rdi)
@@ -62,12 +69,19 @@ ascan_fiber_switch:
   ldmxcsr (%rsp)
   fldcw 4(%rsp)
   addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
   popq %r15
+  .cfi_adjust_cfa_offset -8
   popq %r14
+  .cfi_adjust_cfa_offset -8
   popq %r13
+  .cfi_adjust_cfa_offset -8
   popq %r12
+  .cfi_adjust_cfa_offset -8
   popq %rbx
+  .cfi_adjust_cfa_offset -8
   popq %rbp
+  .cfi_adjust_cfa_offset -8
   ret
   .cfi_endproc
   .size ascan_fiber_switch, .-ascan_fiber_switch

@@ -7,9 +7,9 @@
 // copies of GM/UB/L0 and records one timed op on the issuing sub-core's
 // trace. The one exception is a constant staged into L1/L0B: its bytes are
 // copied when a cube instruction first uses them (see DataCopy), while its
-// trace op is recorded as usual. Cost formulas live in this header next to each instruction so the
-// model is auditable in one place; the constants come from
-// sim::MachineConfig (see the calibration note there).
+// trace op is recorded as usual. Cost formulas live in this header next to
+// each instruction so the model is auditable in one place; the constants
+// come from sim::MachineConfig (see the calibration note there).
 #pragma once
 
 #include <algorithm>
@@ -323,7 +323,6 @@ void Mmad(KernelContext& ctx, const LocalTensor<Acc>& c,
   ASCAN_CHECK(c.position() == TPosition::CO1, "Mmad C operand must be in L0C");
   ASCAN_CHECK(M * K <= a.size() && K * N <= b.size() && M * N <= c.size(),
               "Mmad shape exceeds operand tiles");
-  detail::materialize(ctx, a);
   detail::materialize(ctx, b);
 
   // Widen the A tile once instead of converting elements inside the MAC
