@@ -422,6 +422,19 @@ ValueResult<float> Session::segmented_cumsum(
 // report is stamped with Report::steps = 1 before aggregation so both the
 // per-stream aggregate and Session::total() count resumable slices.
 
+void Session::note_step(LaunchStream& ls, Report& step) {
+  step.steps = 1;
+  ls.report += step;
+  ++ls.steps;
+  total_ += step;
+}
+
+Report Session::finish_stream(LaunchStream& ls, const char* what) {
+  ASCAN_CHECK(ls.open, what << ": stream not open");
+  ls.open = false;
+  return ls.report;
+}
+
 Session::LaunchStream Session::cumsum_batched_begin(std::size_t tile,
                                                     bool use_ul1_schedule) {
   LaunchStream ls;
@@ -462,17 +475,8 @@ ValueResult<half> Session::cumsum_batched_step(
       v = half(static_cast<float>(v) + c);
     }
   }
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
+  note_step(ls, r.report);
   return r;
-}
-
-Report Session::cumsum_batched_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "cumsum_batched_finish: stream not open");
-  ls.open = false;
-  return ls.report;
 }
 
 Session::LaunchStream Session::segmented_cumsum_begin() {
@@ -528,17 +532,8 @@ ValueResult<float> Session::segmented_cumsum_step(
     }
     off += row_len[b];
   }
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
+  note_step(ls, r.report);
   return r;
-}
-
-Report Session::segmented_cumsum_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "segmented_cumsum_finish: stream not open");
-  ls.open = false;
-  return ls.report;
 }
 
 Session::LaunchStream Session::top_p_begin(double p, std::size_t tile) {
@@ -564,17 +559,8 @@ SampleResult Session::top_p_step(LaunchStream& ls,
     r.nucleus = tr.nucleus;
     return tr.report;
   });
-  r.report.steps = 1;
-  ls.report += r.report;
-  ++ls.steps;
-  total_ += r.report;
+  note_step(ls, r.report);
   return r;
-}
-
-Report Session::top_p_finish(LaunchStream& ls) {
-  ASCAN_CHECK(ls.open, "top_p_finish: stream not open");
-  ls.open = false;
-  return ls.report;
 }
 
 ValueResult<float> Session::reduce(const std::vector<half>& x,

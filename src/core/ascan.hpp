@@ -288,7 +288,9 @@ class Session {
                                         const std::vector<half>& xs,
                                         std::size_t batch, std::size_t len,
                                         const std::vector<half>& carries);
-  Report cumsum_batched_finish(LaunchStream& ls);
+  Report cumsum_batched_finish(LaunchStream& ls) {
+    return finish_stream(ls, "cumsum_batched_finish");
+  }
 
   /// Stepwise segmented scan over concatenated per-row chunks. `xs`/`flags`
   /// hold sum(row_len) elements: row i's next chunk of its flagged stream.
@@ -303,7 +305,9 @@ class Session {
       const std::vector<std::int8_t>& flags,
       const std::vector<std::size_t>& row_len,
       const std::vector<float>& carries);
-  Report segmented_cumsum_finish(LaunchStream& ls);
+  Report segmented_cumsum_finish(LaunchStream& ls) {
+    return finish_stream(ls, "segmented_cumsum_finish");
+  }
 
   /// Stepwise batched nucleus sampling: one row per step (a row's sample is
   /// already a multi-kernel pipeline, so the row is the natural resumable
@@ -312,7 +316,9 @@ class Session {
   LaunchStream top_p_begin(double p, std::size_t tile = 128);
   SampleResult top_p_step(LaunchStream& ls, const std::vector<half>& probs,
                           double u);
-  Report top_p_finish(LaunchStream& ls);
+  Report top_p_finish(LaunchStream& ls) {
+    return finish_stream(ls, "top_p_finish");
+  }
 
   /// Sum reduction; `use_cube` accumulates on the cube units' L0C path.
   ValueResult<float> reduce(const std::vector<half>& x, bool use_cube = true);
@@ -332,6 +338,13 @@ class Session {
   /// re-invoked verbatim on retry (kernels are idempotent-relaunchable).
   Report resilient(const char* what, const std::function<Report()>& attempt);
   Report resilient_loop(const std::function<Report()>& attempt);
+
+  /// Stamps a finished step's report as one resumable slice (steps = 1)
+  /// and folds it into the stream's aggregate and the session total.
+  void note_step(LaunchStream& ls, Report& step);
+  /// Closes a stepwise stream and returns its aggregate Report; `what`
+  /// names the public *_finish call in the not-open error.
+  Report finish_stream(LaunchStream& ls, const char* what);
 
   /// Takes the faulted AI core offline: rebuilds the device with blocks-1,
   /// carrying the fault injector (and its launch ordinal) over.

@@ -5,15 +5,17 @@
 // interactive-lane first (with an aging escape so bulk work is never
 // starved outright). Grouping rules:
 //
-//   Cumsum          (tile, schedule) — row lengths may differ; the engine
-//                   zero-pads rows to the longest and serves the group with
-//                   one cumsum_batched launch (trailing zeros cannot change
-//                   any prefix, so per-row results are unaffected).
-//   SegmentedCumsum one group — requests concatenate into a single flagged
-//                   stream (each request's first element is a forced
-//                   segment start) and serve as one segmented_cumsum.
-//   TopP            (vocab, p, tile) — rows concatenate into one
-//                   top_p_sample_batch launch, one variate per row.
+//   Cumsum          (tile, schedule) — row lengths may differ; each step of
+//                   the stepwise cumsum_batched launch zero-pads the active
+//                   rows to the step's longest slice (at most tile² elements;
+//                   trailing zeros cannot change any prefix, so per-row
+//                   results are unaffected).
+//   SegmentedCumsum one group — each step concatenates every active row's
+//                   next slice (up to 4096 elements) into one flagged stream
+//                   whose row starts are forced segment starts, so rows
+//                   never mix.
+//   TopP            (vocab, p, tile) — a stepwise top_p launch, one row per
+//                   step, one variate per row.
 //   Sort            never coalesced (no batched sort kernel yet; see
 //                   ROADMAP open items) — always a singleton group.
 //
@@ -35,14 +37,15 @@ namespace ascan::serve {
 
 using Clock = std::chrono::steady_clock;
 
-/// Tile-granular checkpoint of a request whose batched stepwise launch
-/// faulted mid-flight: everything needed to resume the row from its last
-/// completed tile on another device instead of recomputing from zero. The
-/// failing engine stashes it (Engine::execute_batch fault path), the
-/// cluster re-dispatches the Pending, and whichever engine runs it next
-/// seeds its StreamSlot from the checkpoint — the host-side carry makes
-/// the resumed scan bit-exact with an unfaulted run for integer-valued
-/// data (the same 1-ulp caveat as stepping itself otherwise).
+/// Tile-granular checkpoint of an unfinished request: its partial Response
+/// (payload so far plus chunks streamed, first-chunk time, preemptions and
+/// failover provenance), moved out of its StreamSlot when the launch
+/// faulted (Engine::execute_batch) or parked at a tile boundary
+/// (Engine::park_unfinished). Whichever engine runs the Pending next moves
+/// the Response back into a fresh slot: its payload size is the row's
+/// offset and its last element the scan carry, so the row continues from
+/// the last completed tile, bit-exact with an unfaulted run for
+/// integer-valued data (the same 1-ulp caveat as stepping otherwise).
 struct ResumeState {
   bool active = false;
   int from_device = -1;  ///< device the checkpoint came from
@@ -51,20 +54,7 @@ struct ResumeState {
   /// by a fault. Distinguishes the preempted_tiles_resumed counter from
   /// the failover tiles_resumed one.
   bool preempted = false;
-  /// Parks this request has accumulated so far (threaded back into
-  /// Response::preemptions when the resumed run completes).
-  std::uint32_t preemptions = 0;
-  /// Failover provenance already earned before this stash (the response's
-  /// resumed_from at park/fault time). A later same-device park/resume
-  /// must not erase an earlier cross-device failover from the response.
-  int resumed_from = -1;
-  std::size_t off = 0;   ///< elements already produced
-  half carry{0.0f};      ///< Cumsum running prefix at `off`
-  float fcarry = 0;      ///< SegmentedCumsum running prefix at `off`
-  std::vector<half> prefix_f16;   ///< payload produced before the fault
-  std::vector<float> prefix_f32;  ///< (moved back into the resumed slot)
-  std::size_t chunks_streamed = 0;
-  double first_chunk_s = 0;
+  Response resp;  ///< the row's partial Response
   /// Original batch timestamps, so the resumed response's latency
   /// decomposition spans the failover instead of restarting the clock.
   Clock::time_point picked{};

@@ -346,7 +346,8 @@ std::vector<Pending> Cluster::failover_from(int device,
   if (monitor_.state(device) == HealthState::Healthy) return batch;
   std::vector<Pending> leftovers;
   for (auto& p : batch) {
-    const bool from_checkpoint = p.resume.active && p.resume.off > 0;
+    const bool from_checkpoint =
+        p.resume.active && scan_produced(p.resume.resp) > 0;
     const int target = pick_target(device);
     if (target >= 0 &&
         shards_[static_cast<std::size_t>(target)]->inject(p)) {
@@ -366,7 +367,8 @@ void Cluster::drain_quarantined(int device) {
     // A preemption-parked batch waiting in the dying device's queue rides
     // the same drain: its tile checkpoints cross to the sibling and the
     // resumed rows stay bit-exact (counted with the mid-launch failovers).
-    const bool from_checkpoint = p.resume.active && p.resume.off > 0;
+    const bool from_checkpoint =
+        p.resume.active && scan_produced(p.resume.resp) > 0;
     const int target = pick_target(device);
     if (target >= 0 &&
         shards_[static_cast<std::size_t>(target)]->inject(p)) {

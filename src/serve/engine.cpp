@@ -26,6 +26,28 @@ bool valid_tile(std::size_t s) {
   return s == 16 || s == 32 || s == 64 || s == 128;
 }
 
+/// Longest slice of a SegmentedCumsum row one serving step takes.
+constexpr std::size_t kSegmentedStep = 4096;
+
+/// Scan carry of a row: its partial payload's last element, 0 before the
+/// first step.
+template <typename T>
+T carry_of(const std::vector<T>& payload) {
+  return payload.empty() ? T(0.0f) : payload.back();
+}
+
+/// Appends one row's slice [from, from + n) of a step's output to the
+/// row's payload and, for a streaming row, to its chunk.
+template <typename T>
+void append_slice(std::vector<T>& payload, std::vector<T>* chunk,
+                  const std::vector<T>& out, std::size_t from,
+                  std::size_t n) {
+  const auto first = out.begin() + static_cast<std::ptrdiff_t>(from);
+  const auto last = first + static_cast<std::ptrdiff_t>(n);
+  payload.insert(payload.end(), first, last);
+  if (chunk != nullptr) chunk->assign(first, last);
+}
+
 /// Consumer half of the sleep-race protocol: a worker registers itself
 /// BEFORE (re-)checking for work, so a producer that pushed just after the
 /// check is guaranteed to observe the registration (both sides seq_cst)
@@ -202,6 +224,14 @@ void Engine::wake_worker(bool nudge_formation) {
 void Engine::wake_all_waiters() {
   work_cv_.notify_all();
   form_cv_.notify_all();
+}
+
+void Engine::note_added(const Pending& p) {
+  depth_.fetch_add(1, std::memory_order_seq_cst);
+  if (p.req.priority != Priority::Interactive) {
+    bulk_depth_.fetch_add(1, std::memory_order_relaxed);
+  }
+  key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void Engine::note_removed(const Pending& p) {
@@ -411,8 +441,10 @@ void Engine::fulfill_finalized(std::vector<StreamSlot>& slots) {
 
 void Engine::run_group_stepwise(std::vector<StreamSlot>& slots,
                                 GroupExec mode) {
-  const Request& head = slots.front().p.req;
-  const GroupKey key = group_key(head);
+  // Copied out: continuation admission may reallocate `slots`, so the
+  // step loop holds no reference into it.
+  const OpKind kind = slots.front().p.req.kind;
+  const GroupKey key = group_key(slots.front().p.req);
   const std::uint64_t launch_id =
       next_launch_id_.fetch_add(1, std::memory_order_relaxed);
   const bool allow_admit = mode == GroupExec::Local && opt_.policy.continuous;
@@ -423,7 +455,7 @@ void Engine::run_group_stepwise(std::vector<StreamSlot>& slots,
   // launches park — a thief must return a stolen batch complete.
   const bool preemptible =
       mode == GroupExec::Local && opt_.policy.preemption &&
-      (head.kind == OpKind::Cumsum || head.kind == OpKind::SegmentedCumsum);
+      (kind == OpKind::Cumsum || kind == OpKind::SegmentedCumsum);
   // Stolen batches never stream: the thief runs them as one indivisible
   // throughput unit (see GroupExec).
   const auto streams = [&](const StreamSlot& s) {
@@ -442,206 +474,170 @@ void Engine::run_group_stepwise(std::vector<StreamSlot>& slots,
   // partial-accounting path when a later step faults.
   Report partial;
   // Final aggregate report of a completed launch, fed (with the fault
-  // outcome) to the cluster health monitor after the switch.
+  // outcome) to the cluster health monitor after the launch.
   Report fin;
   try {
-    switch (head.kind) {
-      case OpKind::Cumsum: {
-        // One step = one l-tile column (l = s*s elements) of every active
-        // row, zero-padded to the step's longest remainder — trailing
-        // zeros cannot change any prefix, so each row's first take_i
-        // outputs are exactly the row's own scan continued by its carry.
-        auto ls = session_.cumsum_batched_begin(head.tile, head.ul1_schedule);
-        const std::size_t l = head.tile * head.tile;
-        // Step scratch lives across iterations; assign/resize reuse its
-        // capacity instead of reallocating every step.
-        std::vector<std::size_t> act;
-        std::vector<half> xs;
-        std::vector<half> carries;
-        for (;;) {
-          const auto step_begin = Clock::now();
-          act.clear();
-          std::size_t step_len = 0;
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i].done) continue;
-            act.push_back(i);
-            step_len = std::max(
-                step_len, std::min(l, slots[i].p.req.x.size() - slots[i].off));
-          }
-          if (act.empty()) break;
-          xs.assign(act.size() * step_len, half(0.0f));
-          carries.resize(act.size());
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            const StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(step_len, s.p.req.x.size() - s.off);
-            std::copy(
-                s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off),
-                s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off + take),
-                xs.begin() + static_cast<std::ptrdiff_t>(j * step_len));
-            carries[j] = s.carry;
-          }
-          auto r = session_.cumsum_batched_step(ls, xs, act.size(), step_len,
-                                               carries);
-          partial = ls.report;
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(step_len, s.p.req.x.size() - s.off);
-            const auto first =
-                r.values.begin() + static_cast<std::ptrdiff_t>(j * step_len);
-            const std::size_t chunk_off = s.off;
-            s.resp.values_f16.insert(
-                s.resp.values_f16.end(), first,
-                first + static_cast<std::ptrdiff_t>(take));
-            s.carry = s.resp.values_f16.back();
-            s.off += take;
-            const bool finished = s.off == s.p.req.x.size();
-            if (streams(s)) {
-              StreamChunk c;
-              c.offset = chunk_off;
-              c.values_f16.assign(
-                  first, first + static_cast<std::ptrdiff_t>(take));
-              c.last = finished;
-              deliver_chunk(s, std::move(c), launch_id);
-            }
-            if (finished) {
-              finalize_slot(s, ls.report, slots.size(), launch_id);
-            }
-          }
-          // One wakeup pass for every row the step finished, before
-          // admission so the freed clients' follow-ups can seat here.
-          fulfill_finalized(slots);
-          if (allow_admit) admit_continuations(slots, key, act.size());
-          if (preemptible &&
-              should_preempt(key, slots, secs(Clock::now() - step_begin))) {
-            park_unfinished(slots);
-            break;
-          }
-        }
-        fin = session_.cumsum_batched_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
-        break;
-      }
-      case OpKind::SegmentedCumsum: {
-        // Rows are independent flagged streams of different lengths; each
-        // step takes every active row's next chunk (up to kStep elements),
-        // concatenated — the Session forces a segment start per chunk and
-        // threads each row's fp32 carry across steps.
-        constexpr std::size_t kStep = 4096;
-        auto ls = session_.segmented_cumsum_begin();
-        std::vector<std::size_t> act;
-        std::vector<half> xs;
-        std::vector<std::int8_t> fs;
-        std::vector<std::size_t> row_len;
-        std::vector<float> carries;
-        for (;;) {
-          const auto step_begin = Clock::now();
-          act.clear();
-          for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!slots[i].done) act.push_back(i);
-          }
-          if (act.empty()) break;
-          xs.clear();
-          fs.clear();
-          row_len.resize(act.size());
-          carries.resize(act.size());
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            const StreamSlot& s = slots[act[j]];
-            const std::size_t take =
-                std::min(kStep, s.p.req.x.size() - s.off);
-            row_len[j] = take;
-            carries[j] = s.fcarry;
-            xs.insert(xs.end(),
-                      s.p.req.x.begin() + static_cast<std::ptrdiff_t>(s.off),
-                      s.p.req.x.begin() +
-                          static_cast<std::ptrdiff_t>(s.off + take));
-            fs.insert(fs.end(),
-                      s.p.req.flags.begin() +
-                          static_cast<std::ptrdiff_t>(s.off),
-                      s.p.req.flags.begin() +
-                          static_cast<std::ptrdiff_t>(s.off + take));
-          }
-          auto r = session_.segmented_cumsum_step(ls, xs, fs, row_len, carries);
-          partial = ls.report;
-          std::size_t roff = 0;
-          for (std::size_t j = 0; j < act.size(); ++j) {
-            StreamSlot& s = slots[act[j]];
-            const std::size_t take = row_len[j];
-            const auto first =
-                r.values.begin() + static_cast<std::ptrdiff_t>(roff);
-            const std::size_t chunk_off = s.off;
-            s.resp.values_f32.insert(
-                s.resp.values_f32.end(), first,
-                first + static_cast<std::ptrdiff_t>(take));
-            s.fcarry = s.resp.values_f32.back();
-            s.off += take;
-            roff += take;
-            const bool finished = s.off == s.p.req.x.size();
-            if (streams(s)) {
-              StreamChunk c;
-              c.offset = chunk_off;
-              c.values_f32.assign(
-                  first, first + static_cast<std::ptrdiff_t>(take));
-              c.last = finished;
-              deliver_chunk(s, std::move(c), launch_id);
-            }
-            if (finished) {
-              finalize_slot(s, ls.report, slots.size(), launch_id);
-            }
-          }
-          fulfill_finalized(slots);
-          if (allow_admit) admit_continuations(slots, key, act.size());
-          if (preemptible &&
-              should_preempt(key, slots, secs(Clock::now() - step_begin))) {
-            park_unfinished(slots);
-            break;
-          }
-        }
-        fin = session_.segmented_cumsum_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
-        break;
-      }
-      case OpKind::TopP: {
-        // A row's sample is already a multi-kernel pipeline, so one step =
-        // one row; the single chunk carries the token.
-        auto ls = session_.top_p_begin(head.p, head.tile);
+    if (kind == OpKind::Sort) {
+      // No batched sort kernel (ROADMAP open item) and no meaningful
+      // resumable slice — runs monolithic, never streams or admits.
+      ASCAN_ASSERT(slots.size() == 1, "sort requests are never coalesced");
+      StreamSlot& s = slots.front();
+      auto r = session_.sort(s.p.req.x, s.p.req.descending,
+                             s.p.req.sort_algo, s.p.req.tile);
+      s.resp.sorted_values = std::move(r.values);
+      s.resp.indices = std::move(r.indices);
+      fin = r.report;
+      finalize_slot(s, fin, 1, launch_id);
+    } else {
+      const Request& head = slots.front().p.req;  // read before any step
+      auto ls = kind == OpKind::Cumsum
+                    ? session_.cumsum_batched_begin(head.tile,
+                                                    head.ul1_schedule)
+                : kind == OpKind::SegmentedCumsum
+                    ? session_.segmented_cumsum_begin()
+                    : session_.top_p_begin(head.p, head.tile);
+      // Longest slice one step takes from a row: a Cumsum step is one
+      // l-tile column (l = s*s elements); a TopP row is one atomic step.
+      const std::size_t max_take =
+          kind == OpKind::Cumsum            ? head.tile * head.tile
+          : kind == OpKind::SegmentedCumsum ? kSegmentedStep
+                                            : SIZE_MAX;
+      // Step scratch lives across iterations; clear/assign/resize reuse
+      // its capacity instead of reallocating every step.
+      std::vector<std::size_t> act;   // slot index of each stepped row
+      std::vector<std::size_t> take;  // elements each stepped row takes
+      std::vector<half> xs;
+      std::vector<std::int8_t> fs;
+      std::vector<half> carries_f16;
+      std::vector<float> carries_f32;
+      ValueResult<half> out_f16;
+      ValueResult<float> out_f32;
+      std::int32_t token = -1;
+      for (;;) {
+        const auto step_begin = Clock::now();
+        // Pack: pick the rows this step advances — every unfinished row of
+        // a scan, the first unfinished row of a TopP launch — and the
+        // slice each takes from its offset (the payload produced so far).
+        act.clear();
+        take.clear();
+        std::size_t unfinished = 0;
         for (std::size_t i = 0; i < slots.size(); ++i) {
-          StreamSlot& s = slots[i];
-          auto sr = session_.top_p_step(ls, s.p.req.x, s.p.req.u);
-          partial = ls.report;
-          s.resp.token = sr.index;
-          if (streams(s)) {
-            StreamChunk c;
-            c.token = sr.index;
-            c.last = true;
+          const StreamSlot& s = slots[i];
+          if (s.done) continue;
+          ++unfinished;
+          if (kind == OpKind::TopP && !act.empty()) continue;
+          act.push_back(i);
+          take.push_back(
+              std::min(max_take, s.p.req.x.size() - scan_produced(s.resp)));
+        }
+        if (act.empty()) break;
+        std::size_t width = 0;  // Cumsum: the step's padded row length
+        switch (kind) {
+          case OpKind::Cumsum:
+            // Rows are zero-padded to the step's longest take — trailing
+            // zeros cannot change any prefix, so each row's first take
+            // outputs are exactly the row's own scan continued by its
+            // carry.
+            width = *std::max_element(take.begin(), take.end());
+            xs.assign(act.size() * width, half(0.0f));
+            carries_f16.resize(act.size());
+            for (std::size_t j = 0; j < act.size(); ++j) {
+              const StreamSlot& s = slots[act[j]];
+              const auto from = s.p.req.x.begin() +
+                                static_cast<std::ptrdiff_t>(
+                                    s.resp.values_f16.size());
+              std::copy(from, from + static_cast<std::ptrdiff_t>(take[j]),
+                        xs.begin() + static_cast<std::ptrdiff_t>(j * width));
+              carries_f16[j] = carry_of(s.resp.values_f16);
+            }
+            out_f16 = session_.cumsum_batched_step(ls, xs, act.size(), width,
+                                                   carries_f16);
+            break;
+          case OpKind::SegmentedCumsum:
+            // Rows concatenate with their flags; the Session forces a
+            // segment start per row slice and threads each row's fp32
+            // carry across steps.
+            xs.clear();
+            fs.clear();
+            carries_f32.resize(act.size());
+            for (std::size_t j = 0; j < act.size(); ++j) {
+              const StreamSlot& s = slots[act[j]];
+              const auto at =
+                  static_cast<std::ptrdiff_t>(s.resp.values_f32.size());
+              const auto n = static_cast<std::ptrdiff_t>(take[j]);
+              xs.insert(xs.end(), s.p.req.x.begin() + at,
+                        s.p.req.x.begin() + at + n);
+              fs.insert(fs.end(), s.p.req.flags.begin() + at,
+                        s.p.req.flags.begin() + at + n);
+              carries_f32[j] = carry_of(s.resp.values_f32);
+            }
+            out_f32 =
+                session_.segmented_cumsum_step(ls, xs, fs, take, carries_f32);
+            break;
+          case OpKind::TopP: {
+            // A row's sample is already a multi-kernel pipeline, so one
+            // step = one row; its single chunk carries the token.
+            const Request& r = slots[act.front()].p.req;
+            token = session_.top_p_step(ls, r.x, r.u).index;
+            break;
+          }
+          case OpKind::Sort:
+            break;  // monolithic, above
+        }
+        partial = ls.report;
+        // Unpack: append each stepped row's slice to its partial Response,
+        // stream it, and finalize the rows the step completed.
+        std::size_t seg_off = 0;  // SegmentedCumsum: row's start in out_f32
+        for (std::size_t j = 0; j < act.size(); ++j) {
+          StreamSlot& s = slots[act[j]];
+          const bool stream = streams(s);
+          StreamChunk c;
+          c.offset = scan_produced(s.resp);
+          switch (kind) {
+            case OpKind::Cumsum:
+              append_slice(s.resp.values_f16,
+                           stream ? &c.values_f16 : nullptr, out_f16.values,
+                           j * width, take[j]);
+              break;
+            case OpKind::SegmentedCumsum:
+              append_slice(s.resp.values_f32,
+                           stream ? &c.values_f32 : nullptr, out_f32.values,
+                           seg_off, take[j]);
+              seg_off += take[j];
+              break;
+            case OpKind::TopP:
+              s.resp.token = c.token = token;
+              break;
+            case OpKind::Sort:
+              break;
+          }
+          const bool finished = kind == OpKind::TopP ||
+                                scan_produced(s.resp) == s.p.req.x.size();
+          if (stream) {
+            c.last = finished;
             deliver_chunk(s, std::move(c), launch_id);
           }
-          finalize_slot(s, ls.report, slots.size(), launch_id);
-          fulfill_finalized(slots);
-          if (allow_admit) {
-            admit_continuations(slots, key, slots.size() - (i + 1));
+          if (finished) {
+            finalize_slot(s, ls.report, slots.size(), launch_id);
+            --unfinished;
           }
         }
-        fin = session_.top_p_finish(ls);
-        metrics_.on_batch(slots.size(), fin);
-        break;
+        // One wakeup pass for every row the step finished, before
+        // admission so the freed clients' follow-ups can seat here.
+        fulfill_finalized(slots);
+        if (allow_admit) admit_continuations(slots, key, unfinished);
+        if (preemptible &&
+            should_preempt(key, slots, secs(Clock::now() - step_begin))) {
+          park_unfinished(slots);
+          break;
+        }
       }
-      case OpKind::Sort: {
-        // No batched sort kernel (ROADMAP open item) and no meaningful
-        // resumable slice — runs monolithic, never streams or admits.
-        ASCAN_ASSERT(slots.size() == 1, "sort requests are never coalesced");
-        StreamSlot& s = slots.front();
-        auto r = session_.sort(s.p.req.x, s.p.req.descending,
-                              s.p.req.sort_algo, s.p.req.tile);
-        s.resp.sorted_values = std::move(r.values);
-        s.resp.indices = std::move(r.indices);
-        fin = r.report;
-        metrics_.on_batch(1, fin);
-        finalize_slot(s, fin, 1, launch_id);
-        break;
-      }
+      fin = kind == OpKind::Cumsum ? session_.cumsum_batched_finish(ls)
+            : kind == OpKind::SegmentedCumsum
+                ? session_.segmented_cumsum_finish(ls)
+                : session_.top_p_finish(ls);
     }
+    metrics_.on_batch(slots.size(), fin);
   } catch (const ascend::sim::FaultError& e) {
     // The traffic a fault burned must not vanish from the bandwidth
     // figures: completed steps plus the failing attempt are recorded
@@ -678,31 +674,25 @@ void Engine::execute_batch(std::vector<Pending> batch,
     s.picked = picked;
     s.exec_begin = exec_begin;
     if (s.p.resume.active) {
-      // Failover resume: seed the slot from the tile checkpoint the
-      // faulted device stashed — the scan continues from the last
-      // completed tile's carry instead of recomputing the prefix, and the
-      // original batch timestamps keep the latency decomposition spanning
-      // the whole failover.
+      // Resume from a tile checkpoint (failover stash or preemption park):
+      // the partial Response moves back in, so the scan continues from the
+      // last completed tile's carry instead of recomputing the prefix, and
+      // the original batch timestamps keep the latency decomposition
+      // spanning the whole interruption.
       ResumeState& rs = s.p.resume;
-      s.off = rs.off;
-      s.carry = rs.carry;
-      s.fcarry = rs.fcarry;
-      s.resp.values_f16 = std::move(rs.prefix_f16);
-      s.resp.values_f32 = std::move(rs.prefix_f32);
-      s.resp.chunks_streamed = rs.chunks_streamed;
-      s.resp.timing.first_chunk_s = rs.first_chunk_s;
-      s.resp.preemptions = rs.preemptions;
-      // resumed_from is *failover* provenance. A preemption park resumed
-      // on its own device is the normal course of an SLO-tiered launch,
-      // not a failover — only a checkpoint that crossed devices (fault
-      // stash, or a parked batch drained off a dying device) records it.
-      // Either way an earlier cross-device failover stays on the record:
-      // a later same-device park must not launder the provenance away.
-      s.resp.resumed_from =
-          rs.preempted && rs.from_device == opt_.device_id
-              ? rs.resumed_from
-              : rs.from_device;
-      if (rs.preempted && rs.off > 0) metrics_.on_preempted_tile_resumed();
+      s.resp = std::move(rs.resp);
+      // resumed_from is cross-device provenance: only a checkpoint that
+      // left its device (fault stash failed over, or a parked batch
+      // drained off a dying device) records it. A resume on the stashing
+      // device — preemption park, or the local isolation re-run of a
+      // fault on a still-Healthy device — keeps what the Response carries,
+      // so an earlier failover stays on the record.
+      if (rs.from_device != opt_.device_id) {
+        s.resp.resumed_from = rs.from_device;
+      }
+      if (rs.preempted && scan_produced(s.resp) > 0) {
+        metrics_.on_preempted_tile_resumed();
+      }
       s.picked = rs.picked;
       s.exec_begin = rs.exec_begin;
       rs.active = false;
@@ -848,11 +838,7 @@ void Engine::requeue_parked(std::vector<StreamSlot>& slots) {
     // dangles either way. The depth ticket is re-claimed without a cap
     // check: the rows were admitted once and never left the engine.
     for (auto& p : parked) {
-      depth_.fetch_add(1, std::memory_order_seq_cst);
-      if (p.req.priority != Priority::Interactive) {
-        bulk_depth_.fetch_add(1, std::memory_order_relaxed);
-      }
-      key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
+      note_added(p);
       queue_.push(std::move(p));
     }
   }
@@ -864,15 +850,7 @@ void Engine::stash_resume(StreamSlot& s) {
   rs.active = true;
   rs.from_device = opt_.device_id;
   rs.preempted = false;
-  rs.preemptions = s.resp.preemptions;
-  rs.resumed_from = s.resp.resumed_from;
-  rs.off = s.off;
-  rs.carry = s.carry;
-  rs.fcarry = s.fcarry;
-  rs.prefix_f16 = std::move(s.resp.values_f16);
-  rs.prefix_f32 = std::move(s.resp.values_f32);
-  rs.chunks_streamed = s.resp.chunks_streamed;
-  rs.first_chunk_s = s.resp.timing.first_chunk_s;
+  rs.resp = std::move(s.resp);
   rs.picked = s.picked;
   rs.exec_begin = s.exec_begin;
 }
@@ -940,15 +918,7 @@ void Engine::finish_shutdown() {
   std::vector<Pending> leftovers;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    drain_inbox_locked();
-    const BatchPolicy flush{.max_batch = 1, .max_wait_s = 0};
-    while (!queue_.empty()) {
-      auto b = queue_.pop_batch(flush, Clock::now());
-      for (auto& p : b) {
-        note_removed(p);
-        leftovers.push_back(std::move(p));
-      }
-    }
+    leftovers = take_all_locked();
     stopped_ = true;
   }
   for (auto& p : leftovers) {
@@ -1009,11 +979,7 @@ bool Engine::inject(Pending& p) {
     // local depth ticket is claimed so queue_depth() stays truthful for
     // placement and the capacity check backs off accordingly.
     p.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    depth_.fetch_add(1, std::memory_order_seq_cst);
-    if (p.req.priority != Priority::Interactive) {
-      bulk_depth_.fetch_add(1, std::memory_order_relaxed);
-    }
-    key_pending_[wake_bucket(p.req)].fetch_add(1, std::memory_order_relaxed);
+    note_added(p);
     queue_.push(std::move(p));
   }
   wake_all_waiters();
@@ -1021,13 +987,18 @@ bool Engine::inject(Pending& p) {
 }
 
 std::vector<Pending> Engine::drain_queue() {
-  std::vector<Pending> out;
   std::lock_guard<std::mutex> lk(mu_);
   // Shutdown owns the queue's requests (Drain executes them, Cancel
   // resolves them Cancelled in finish_shutdown); draining here would
   // race that accounting.
-  if (stopping_.load() || stopped_) return out;
+  if (stopping_.load() || stopped_) return {};
+  return take_all_locked();
+}
+
+std::vector<Pending> Engine::take_all_locked() {
   drain_inbox_locked();
+  std::vector<Pending> out;
+  out.reserve(queue_.size());
   const BatchPolicy flush{.max_batch = 1, .max_wait_s = 0};
   while (!queue_.empty()) {
     auto b = queue_.pop_batch(flush, Clock::now());

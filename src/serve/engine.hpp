@@ -195,15 +195,16 @@ class Engine {
   ///    admits.
   enum class GroupExec { Local, Stolen, Isolated };
 
-  /// One request riding an in-flight stepwise launch.
+  /// One request riding an in-flight stepwise launch. `resp` is the
+  /// row's progress: each step appends its slice to the payload, so the
+  /// payload size is the row's offset and the payload's last element
+  /// (0 when empty) its scan carry. A checkpoint (Pending::resume) is this
+  /// Response moved out, and a resume moves it back in.
   struct StreamSlot {
     Pending p;
     Clock::time_point picked{};      ///< batch pick / continuation admission
     Clock::time_point exec_begin{};  ///< when this slot joined the launch
-    Response resp;                   ///< payload accumulated step by step
-    std::size_t off = 0;             ///< elements produced so far
-    half carry = half(0.0f);         ///< Cumsum running prefix (carry-in)
-    float fcarry = 0.0f;             ///< SegmentedCumsum running prefix
+    Response resp;                   ///< partial Response, grown step by step
     bool done = false;       ///< finalized: response stamped
     bool fulfilled = false;  ///< promise set (by a batch fulfilment pass)
   };
@@ -216,13 +217,20 @@ class Engine {
                      GroupExec mode = GroupExec::Local);
   /// Runs one request alone under its request-scoped RetryPolicy.
   void execute_single(Pending& p, Clock::time_point picked);
-  /// Drives the coalesced launch tile-by-tile via the Session stepwise API:
-  /// scatters every completed slice into its slot (streaming it when the
-  /// request asked), resolves slots the moment their last slice lands, and
-  /// between steps admits compatible queued requests into free rows (mode
-  /// Local + policy.continuous). On a typed fault it records the partial
-  /// Report (failed_batches / sim_* counters) and rethrows with every
-  /// unresolved slot's Pending intact for the caller's fallback.
+  /// Drives the coalesced launch through one step loop shared by Cumsum,
+  /// SegmentedCumsum and TopP (Sort runs monolithic). Each step packs the
+  /// unfinished rows (Cumsum: zero-padded to the step's longest slice of
+  /// at most tile² elements; SegmentedCumsum: up to 4096 elements per row,
+  /// concatenated with their flags; TopP: the first unfinished row), runs
+  /// the kind's Session *_step call and appends each row's slice to its
+  /// partial Response, streaming it when the request asked. A row is
+  /// finalized the moment its last slice lands. Between steps the loop
+  /// fulfils the finished rows, admits compatible queued requests into
+  /// the rows still unfinished (mode Local + policy.continuous), and may
+  /// park an all-bulk scan launch (tile-boundary preemption). On a typed
+  /// fault it records the partial Report (failed_batches / sim_* counters)
+  /// and rethrows with every unresolved slot's Pending intact for the
+  /// caller's fallback.
   void run_group_stepwise(std::vector<StreamSlot>& slots, GroupExec mode);
   /// Continuation admission: pops queued requests matching `key` into
   /// `slots` (up to max_batch total active rows). Returns how many joined.
@@ -245,9 +253,9 @@ class Engine {
   /// resubmit into the same launch) and once at the end of execute_batch
   /// as the catch-all for exception paths.
   void fulfill_finalized(std::vector<StreamSlot>& slots);
-  /// Stashes the slot's tile checkpoint into its Pending (Pending::resume)
-  /// so a failover target can continue the row from the last completed
-  /// tile.
+  /// Moves the slot's partial Response into its Pending (Pending::resume)
+  /// as a tile checkpoint, so a failover target can continue the row from
+  /// the last completed tile.
   void stash_resume(StreamSlot& slot);
 
   /// Tile-boundary preemption predicate, evaluated at each step boundary
@@ -293,10 +301,17 @@ class Engine {
   /// Wakes every waiter on both condition variables (shutdown, steal
   /// hand-offs, requeues — the rare control edges).
   void wake_all_waiters();
-  /// Accounting when a request leaves the queue for execution (pop, steal,
-  /// drain, flush): undoes the depth_/bulk_depth_ admission ticket and the
+  /// Accounting when an already-admitted request re-enters the queue
+  /// (failover inject, preemption requeue): re-claims the depth_/
+  /// bulk_depth_ admission ticket without a cap check and bumps the
   /// formation-wake bucket count.
+  void note_added(const Pending& p);
+  /// Accounting when a request leaves the queue for execution (pop, steal,
+  /// drain, flush): undoes note_added's (or submit's) bookkeeping.
   void note_removed(const Pending& p);
+  /// Removes and returns every queued request, inbox included, in pop
+  /// order. Callers hold mu_.
+  std::vector<Pending> take_all_locked();
   /// key_pending_ bucket of a request's GroupKey (formation-wake
   /// heuristic).
   static std::size_t wake_bucket(const Request& r) {

@@ -1,12 +1,12 @@
 // serve — request/response vocabulary of the asynchronous serving engine.
 //
 // A Request is one client-sized unit of work (one scan, one sort, one
-// sampling draw); the engine coalesces compatible queued requests into the
-// library's batched launches (cumsum_batched / segmented_cumsum /
-// top_p_sample_batch) and scatters the results back per request. Clients
-// never see the batching: submit() returns a std::future<Response> that
-// resolves exactly once, whatever happens (success, typed fault, admission
-// rejection, shutdown cancellation).
+// sampling draw); the engine coalesces compatible queued requests into one
+// stepwise launch of the Session's begin/step/finish API (cumsum_batched_*,
+// segmented_cumsum_*, top_p_*) and scatters each step's results back per
+// request. Clients never see the batching: submit() returns a
+// std::future<Response> that resolves exactly once, whatever happens
+// (success, typed fault, admission rejection, shutdown cancellation).
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,10 @@ namespace ascan::serve {
 
 /// Operator families the serving engine accepts.
 enum class OpKind : std::uint8_t {
-  Cumsum,           ///< row scan, served via cumsum_batched (fp16 out)
-  SegmentedCumsum,  ///< segmented scan, served via segmented_cumsum (fp32 out)
+  Cumsum,           ///< row scan, stepwise cumsum_batched (fp16 out)
+  SegmentedCumsum,  ///< segmented scan, stepwise segmented_cumsum (fp32 out)
   Sort,             ///< fp16 radix/baseline sort (per-request launch)
-  TopP,             ///< nucleus sampling, served via top_p_sample_batch
+  TopP,             ///< nucleus sampling, stepwise top_p (one row per step)
 };
 
 constexpr const char* op_kind_name(OpKind k) {
@@ -245,8 +245,13 @@ struct Response {
   /// request didn't stream: no callback, Sort, or a stolen batch).
   std::size_t chunks_streamed = 0;
   /// Device failover provenance: when >= 0, the request's launch faulted
-  /// on this device and the request was resumed elsewhere from its tile
-  /// checkpoint (compare with `device`, the shard that finished it).
+  /// (or was parked) on this device and the request was resumed elsewhere
+  /// from its tile checkpoint (compare with `device`, the shard that
+  /// finished it). Only a checkpoint that crosses devices sets it: a
+  /// resume on the device that stashed the checkpoint — a preemption park,
+  /// or a fault that the device's own isolation path re-runs — keeps the
+  /// provenance the request already carried (-1 unless an earlier launch
+  /// failed over).
   int resumed_from = -1;
   /// Times this request's bulk launch was preempted at a tile boundary
   /// (parked as a checkpoint so a deadline-pressed interactive batch could
@@ -259,6 +264,12 @@ struct Response {
 
   bool ok() const { return status == Status::Ok; }
 };
+
+/// Elements of a scan row produced so far: the payload of its partial
+/// Response (Cumsum fills values_f16, SegmentedCumsum values_f32).
+inline std::size_t scan_produced(const Response& r) {
+  return r.values_f16.size() + r.values_f32.size();
+}
 
 /// A terminal response carrying no payload (rejections, cancellations,
 /// typed failures). Shared by the Engine and the Cluster front end.

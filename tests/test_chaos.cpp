@@ -510,6 +510,55 @@ TEST(Chaos, ClusterQuarantinesDeadDeviceAndResumesFromTileCheckpoints) {
   RecordProperty("tiles_resumed", static_cast<int>(m.tiles_resumed));
 }
 
+TEST(Chaos, ClusterSameDeviceResumeIsNotAFailover) {
+  using namespace ascan::serve;
+  // A fault on a device that stays Healthy is an ordinary poisoned-batch
+  // event: the cluster hands the batch straight back and the device's own
+  // isolation path re-runs each member from its tile checkpoint. The
+  // checkpoint never left the device, so the responses must not claim a
+  // failover (Response::resumed_from stays -1).
+  constexpr std::size_t kLen[2] = {1024, 768};  // 4 and 3 steps at tile 16
+  ascan::Session ref(chaos_cfg());
+  std::vector<std::vector<half>> inputs, want;
+  for (std::size_t i = 0; i < 2; ++i) {
+    inputs.push_back(testing::exact_scan_workload(kLen[i], 450 + i));
+    want.push_back(ref.cumsum_batched(inputs[i], 1, kLen[i], 16).values);
+  }
+  HealthPolicy hp;
+  hp.min_samples = 4;  // one faulted launch is no verdict: stays Healthy
+  // Launch 0 is the coalesced launch's first step; launch 1, its second
+  // step, faults once with no retry budget.
+  Cluster cluster({.policy = {.max_batch = 2, .max_wait_s = 1.0},
+                   .num_devices = 1,
+                   .machine = chaos_cfg(),
+                   .retry = {.max_attempts = 1},
+                   .fault_plan = sim::FaultPlan::one_transient_mte(1),
+                   .work_stealing = false,
+                   .health = hp});
+  std::vector<std::future<Response>> futs;
+  for (const auto& x : inputs) {
+    futs.push_back(cluster.submit(Request::cumsum(x, 16)));
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto r = futs[i].get();
+    ASSERT_EQ(r.status, Status::Ok) << "case " << i << ": " << r.reason;
+    EXPECT_EQ(r.device, 0) << "case " << i;
+    EXPECT_EQ(r.resumed_from, -1) << "case " << i;
+    // The re-run continued from the first step's checkpoint.
+    EXPECT_EQ(r.report.steps, static_cast<int>(kLen[i] / 256) - 1)
+        << "case " << i;
+    ASSERT_EQ(r.values_f16.size(), want[i].size()) << "case " << i;
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      ASSERT_EQ(static_cast<float>(r.values_f16[j]),
+                static_cast<float>(want[i][j]))
+          << "case " << i << " index " << j;
+    }
+  }
+  cluster.shutdown(ShutdownMode::Drain);
+  EXPECT_EQ(cluster.device_health(0), HealthState::Healthy);
+  EXPECT_EQ(cluster.metrics().failovers, 0u);
+}
+
 TEST(Chaos, WatchdogDeadlineScalesWithLaunchShape) {
   // The watchdog deadline must grow with the launch's own serial-work
   // estimate: a flat deadline tuned for small launches would misclassify a

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -813,6 +814,68 @@ TEST(ServeContinuation, MidLaunchAdmissionMatchesStandalone) {
               static_cast<float>(want2.values[i]))
         << "index " << i;
   }
+  EXPECT_GE(engine.metrics().continuation_admits, 1u);
+}
+
+/// Streams `first` and submits `second` from its first chunk. With a
+/// single worker that submit lands while the launch is mid-flight, so the
+/// next step boundary must admit `second` into the same launch. Returns
+/// both responses, after a draining shutdown.
+std::pair<Response, Response> admit_from_first_chunk(Engine& engine,
+                                                     Request first,
+                                                     Request second) {
+  std::promise<std::future<Response>> joined;
+  std::atomic<bool> submitted{false};
+  first.on_chunk = [&](const StreamChunk&) {
+    if (!submitted.exchange(true)) {
+      joined.set_value(engine.submit(std::move(second)));
+    }
+  };
+  auto f1 = engine.submit(std::move(first));
+  auto resp2 = joined.get_future().get().get();
+  auto resp1 = f1.get();
+  engine.shutdown(ShutdownMode::Drain);
+  return {std::move(resp1), std::move(resp2)};
+}
+
+TEST(ServeContinuation, MidLaunchAdmissionMatchesStandaloneSegmented) {
+  Session ref;
+  const std::size_t n1 = 9000;  // 3 steps at the 4096-element stride
+  const auto x2 = exact_scan_workload(700, 65);
+  const auto f2 = seg_flags(700, 66);
+  const auto want2 = ref.segmented_cumsum(x2, f2);
+
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 100e-6}});
+  const auto [resp1, resp2] = admit_from_first_chunk(
+      engine,
+      Request::segmented_cumsum(exact_scan_workload(n1, 63),
+                                seg_flags(n1, 64)),
+      Request::segmented_cumsum(x2, f2));
+  ASSERT_TRUE(resp1.ok()) << resp1.reason;
+  ASSERT_TRUE(resp2.ok()) << resp2.reason;
+  EXPECT_EQ(resp2.launch_id, resp1.launch_id);  // joined the in-flight launch
+  EXPECT_EQ(resp2.values_f32, want2.values);    // fp32: exact equality
+  EXPECT_GE(engine.metrics().continuation_admits, 1u);
+}
+
+TEST(ServeContinuation, MidLaunchAdmissionMatchesStandaloneTopP) {
+  // One row per TopP step: the first row's terminal chunk lands before
+  // the step boundary, where the launch has no unfinished row left but
+  // still seats the follow-up draw.
+  Session ref;
+  Rng rng(67);
+  const auto p1 = rng.token_probs_f16(512);
+  const auto p2 = rng.token_probs_f16(512);
+  const auto want2 = ref.top_p_sample(p2, 0.9, 0.61, false, 64);
+
+  Engine engine({.policy = {.max_batch = 8, .max_wait_s = 100e-6}});
+  const auto [resp1, resp2] = admit_from_first_chunk(
+      engine, Request::top_p(p1, 0.9, 0.37, 64),
+      Request::top_p(p2, 0.9, 0.61, 64));
+  ASSERT_TRUE(resp1.ok()) << resp1.reason;
+  ASSERT_TRUE(resp2.ok()) << resp2.reason;
+  EXPECT_EQ(resp2.launch_id, resp1.launch_id);  // joined the in-flight launch
+  EXPECT_EQ(resp2.token, want2.index);
   EXPECT_GE(engine.metrics().continuation_admits, 1u);
 }
 
