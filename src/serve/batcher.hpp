@@ -37,6 +37,12 @@ namespace ascan::serve {
 
 using Clock = std::chrono::steady_clock;
 
+/// Elements of a scan row produced so far: the payload of its partial
+/// Response (Cumsum fills values_f16, SegmentedCumsum values_f32).
+inline std::size_t scan_produced(const Response& r) {
+  return r.values_f16.size() + r.values_f32.size();
+}
+
 /// Tile-granular checkpoint of an unfinished request: its partial Response
 /// (payload so far plus chunks streamed, first-chunk time, preemptions and
 /// failover provenance), moved out of its StreamSlot when the launch

@@ -265,12 +265,6 @@ struct Response {
   bool ok() const { return status == Status::Ok; }
 };
 
-/// Elements of a scan row produced so far: the payload of its partial
-/// Response (Cumsum fills values_f16, SegmentedCumsum values_f32).
-inline std::size_t scan_produced(const Response& r) {
-  return r.values_f16.size() + r.values_f32.size();
-}
-
 /// A terminal response carrying no payload (rejections, cancellations,
 /// typed failures). Shared by the Engine and the Cluster front end.
 inline Response immediate_response(OpKind kind, Status status,
